@@ -1,295 +1,17 @@
 #include "core/systems.hpp"
 
+#include "systems_rsl.hpp"
 #include "util/check.hpp"
 
 namespace polis::systems {
 
-const char* dashboard_source() {
-  return R"rsl(
-# --- Car dashboard controller (paper §V-A) -----------------------------------
-# Chain: wheel/engine pulse sensors -> debouncing -> windowed pulse counting
-# -> gauge drivers (PWM outputs) and odometer, plus the seat-belt alarm.
-
-module debounce {
-  input raw;                 # raw sensor pulse
-  input tick;                # sampling timer
-  output clean;              # debounced pulse
-  state cnt : int[4] = 0;
-
-  when present(raw) && cnt < 2  -> { cnt := cnt + 1; }
-  when present(raw) && cnt >= 2 -> { emit clean; cnt := 3; }
-  when !present(raw) && present(tick) -> { cnt := 0; }
-}
-
-module pulse_counter {
-  input pulse;               # debounced pulse
-  input tick;                # window timer
-  output count : int[8];     # pulses in the closed window
-  state n : int[8] = 0;
-
-  when present(tick)                   -> { emit count(n); n := 0; }
-  when present(pulse) && !present(tick) -> { n := n + 1; }
-}
-
-module speedometer {
-  input count : int[8];
-  output pwm : int[16];      # gauge duty cycle
-  state last : int[8] = 0;
-
-  when present(count) && value(count) != last ->
-    { last := value(count); emit pwm(value(count) * 2); }
-  when present(count) && value(count) == last -> { }
-}
-
-module odometer {
-  input count : int[8];
-  output odo_inc;            # one emitted per 16 accumulated pulses
-  state acc : int[16] = 0;
-
-  when present(count) && acc + value(count) >= 16 ->
-    { acc := acc + value(count) - 16; emit odo_inc; }
-  when present(count) && acc + value(count) < 16 ->
-    { acc := acc + value(count); }
-}
-
-module tachometer {
-  input rpm : int[8];
-  output tach_pwm : int[16];
-  state peak : int[8] = 0;
-
-  when present(rpm) && value(rpm) > peak ->
-    { peak := value(rpm); emit tach_pwm(value(rpm) * 2 + 1); }
-  when present(rpm) && value(rpm) <= peak ->
-    { emit tach_pwm(value(rpm) + peak); }
-}
-
-module belt {
-  input key_on;
-  input belt_on;
-  input tick;
-  output alarm;
-  state st : int[3] = 0;     # 0 idle, 1 waiting for the belt, 2 alarmed
-  state cnt : int[4] = 0;
-
-  assert st != 2 || cnt >= 3;   # the alarm only ever latches off a full count
-
-  when present(key_on)                        -> { st := 1; cnt := 0; }
-  when st == 1 && present(belt_on)            -> { st := 0; }
-  when st == 1 && present(tick) && cnt < 3    -> { cnt := cnt + 1; }
-  when st == 1 && present(tick) && cnt >= 3   -> { st := 2; emit alarm; }
-}
-
-network dash {
-  instance deb  : debounce      (raw = wheel_raw, tick = timer, clean = wheel_clean);
-  instance wcnt : pulse_counter (pulse = wheel_clean, tick = timer, count = wheel_count);
-  instance spd  : speedometer   (count = wheel_count, pwm = speed_pwm);
-  instance odo  : odometer      (count = wheel_count);
-  instance ecnt : pulse_counter (pulse = engine_raw, tick = timer, count = engine_count);
-  instance tach : tachometer    (rpm = engine_count, tach_pwm = rpm_pwm);
-  instance blt  : belt          (key_on = key_on, belt_on = belt_on, tick = timer);
-}
-
-# Composable subset for the single-FSM baseline (Table III): the wheel-speed
-# chain only, to keep the explicit product state space tractable.
-network dash_core {
-  instance deb  : debounce      (raw = wheel_raw, tick = timer, clean = wheel_clean);
-  instance wcnt : pulse_counter (pulse = wheel_clean, tick = timer, count = wheel_count);
-  instance spd  : speedometer   (count = wheel_count, pwm = speed_pwm);
-}
-)rsl";
-}
-
-const char* shock_absorber_source() {
-  return R"rsl(
-# --- Shock absorber controller (paper §V-B) -----------------------------------
-# Acceleration sampling -> control law (comfort/sport) -> slew-limited valve
-# actuator, with a sample watchdog.
-
-module sampler {
-  input accel : int[16];     # acceleration sensor
-  input tick;                # control period
-  output sample : int[16];
-  state hold : int[16] = 0;
-
-  when present(tick) && present(accel) ->
-    { emit sample(value(accel)); hold := value(accel); }
-  when present(tick)  -> { emit sample(hold); }
-  when present(accel) -> { hold := value(accel); }
-}
-
-module control_law {
-  input sample : int[16];
-  input mode;                # comfort/sport toggle button
-  output damper : int[8];
-  state sport : int[2] = 0;
-  state prev : int[16] = 0;
-
-  when present(mode) && sport == 0 -> { sport := 1; }
-  when present(mode) && sport == 1 -> { sport := 0; }
-  when present(sample) && sport == 1 ->
-    { emit damper((value(sample) + prev) / 4 + 2); prev := value(sample); }
-  when present(sample) && sport == 0 ->
-    { emit damper((value(sample) + prev) / 8); prev := value(sample); }
-}
-
-module actuator {
-  input damper : int[8];     # commanded valve position
-  output valve : int[8];     # actual (slew-limited) position
-  state cur : int[8] = 0;
-
-  when present(damper) && value(damper) > cur -> { cur := cur + 1; emit valve(cur + 1); }
-  when present(damper) && value(damper) < cur -> { cur := cur - 1; emit valve(cur - 1); }
-  when present(damper) && value(damper) == cur -> { }
-}
-
-module watchdog {
-  input sample : int[16];
-  input tick;
-  output fault;
-  state miss : int[4] = 0;
-
-  when present(sample)               -> { miss := 0; }
-  when present(tick) && miss < 2    -> { miss := miss + 1; }
-  when present(tick) && miss >= 2   -> { emit fault; miss := 3; }
-}
-
-network shock {
-  instance smp : sampler     (accel = accel_in, tick = ctrl_tick, sample = acc_sample);
-  instance law : control_law (sample = acc_sample, mode = mode_btn, damper = damper_cmd);
-  instance act : actuator    (damper = damper_cmd, valve = valve_out);
-  instance wdg : watchdog    (sample = acc_sample, tick = ctrl_tick);
-}
-)rsl";
-}
-
-const char* microwave_source() {
-  return R"rsl(
-# --- Microwave oven controller (paper §I-A's motivating domain) ---------------
-# keypad -> controller (door interlock, countdown) -> magnetron + beeper.
-
-module keypad {
-  input digit : int[10];     # numeric key: adds minutes
-  input clear;
-  input start_btn;
-  output set_time : int[16];
-  output start;
-  state acc : int[16] = 0;
-
-  when present(digit)               -> { acc := acc + value(digit); }
-  when present(clear)               -> { acc := 0; }
-  when present(start_btn) && acc > 0 ->
-    { emit set_time(acc); emit start; acc := 0; }
-}
-
-module controller {
-  input set_time : int[16];
-  input start;
-  input tick;                # one minute
-  input door_open;
-  input door_closed;
-  output heat_on;
-  output heat_off;
-  output done;
-  state cooking : int[2] = 0;
-  state remaining : int[16] = 0;
-  state door : int[2] = 1;   # 1 = closed
-
-  # Opening the door while cooking stops the magnetron immediately.
-  when present(door_open) && cooking == 1 ->
-    { door := 0; cooking := 0; emit heat_off; }
-  when present(door_open)   -> { door := 0; }
-  when present(door_closed) -> { door := 1; }
-  # Keypad delivers time and start in the same snapshot.
-  when present(set_time) && present(start) && door == 1 ->
-    { remaining := value(set_time); cooking := 1; emit heat_on; }
-  when present(set_time)    -> { remaining := value(set_time); }
-  when present(tick) && cooking == 1 && remaining > 1 ->
-    { remaining := remaining - 1; }
-  when present(tick) && cooking == 1 && remaining == 1 ->
-    { remaining := 0; cooking := 0; emit heat_off; emit done; }
-}
-
-module magnetron {
-  input heat_on;
-  input heat_off;
-  output power : int[2];
-  state on : int[2] = 0;
-
-  when present(heat_off) -> { on := 0; emit power(0); }
-  when present(heat_on)  -> { on := 1; emit power(1); }
-}
-
-module beeper {
-  input done;
-  output beep;
-  when present(done) -> { emit beep; }
-}
-
-network microwave {
-  instance pad  : keypad;
-  instance ctl  : controller;
-  instance mag  : magnetron;
-  instance bell : beeper;
-}
-)rsl";
-}
-
-frontend::ParsedFile dashboard() {
-  return frontend::parse(dashboard_source());
-}
-
-const char* level_meter_source() {
-  return R"rsl(
-# --- Level meter --------------------------------------------------------------
-# A quantizer thresholds a sensor into levels 0..3; the display drives a bar
-# gauge. The display also has an overload latch for levels >= 4 — locally
-# plausible (the net carries int[8]) but globally unreachable, since the
-# quantizer never emits one. Symbolic reachability proves the assertion and
-# feeds the dead branch back into synthesis as a global don't-care.
-
-module quantizer {
-  input sensor : int[8];
-  output level : int[8];
-
-  when present(sensor) && value(sensor) < 2 -> { emit level(0); }
-  when present(sensor) && value(sensor) < 4 -> { emit level(1); }
-  when present(sensor) && value(sensor) < 6 -> { emit level(2); }
-  when present(sensor)                      -> { emit level(3); }
-}
-
-module display {
-  input level : int[8];
-  output bar_pwm : int[8];
-  state bars : int[4] = 0;
-  state overload : int[2] = 0;
-
-  assert overload == 0;      # provable only with the whole network in view
-
-  when present(level) && value(level) >= 4 ->
-    { overload := 1; bars := 3; emit bar_pwm(7); }
-  when present(level) && value(level) != bars ->
-    { bars := value(level); emit bar_pwm(value(level) * 2); }
-  when present(level) -> { }
-}
-
-network meter {
-  instance q : quantizer (sensor = sensor, level = level);
-  instance d : display   (level = level, bar_pwm = bar_pwm);
-}
-)rsl";
-}
-
-frontend::ParsedFile level_meter() {
-  return frontend::parse(level_meter_source());
-}
-
-frontend::ParsedFile microwave() {
-  return frontend::parse(microwave_source());
-}
+frontend::ParsedFile dashboard() { return frontend::parse(rsl::kDashboard); }
 
 frontend::ParsedFile shock_absorber() {
-  return frontend::parse(shock_absorber_source());
+  return frontend::parse(rsl::kShockAbsorber);
 }
+
+frontend::ParsedFile microwave() { return frontend::parse(rsl::kMicrowave); }
 
 namespace {
 
@@ -335,12 +57,7 @@ std::vector<std::shared_ptr<const cfsm::Cfsm>> shock_modules() {
 }
 
 std::shared_ptr<cfsm::Network> meter_network() {
-  return network_of(level_meter(), "meter");
-}
-
-std::vector<std::shared_ptr<const cfsm::Cfsm>> meter_modules() {
-  const frontend::ParsedFile file = level_meter();
-  return {module_of(file, "quantizer"), module_of(file, "display")};
+  return network_of(frontend::parse(rsl::kMeter), "meter");
 }
 
 std::shared_ptr<cfsm::Network> microwave_network() {

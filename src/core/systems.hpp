@@ -7,8 +7,9 @@
 //   * the shock absorber controller (§V-B): sampling, control law,
 //     slew-limited actuator and a watchdog.
 //
-// The sources are exposed so the examples can print them; parsed forms are
-// cached builders.
+// The RSL sources live only in examples/rsl/ and are compiled in at
+// configure time (see src/core/CMakeLists.txt); the functions below parse
+// them on every call.
 #pragma once
 
 #include <memory>
@@ -20,14 +21,12 @@
 
 namespace polis::systems {
 
-/// RSL source of the dashboard system (modules + `dash` network + the
-/// composable `dash_core` sub-network used for the single-FSM baseline).
-const char* dashboard_source();
-
-/// RSL source of the shock absorber system (modules + `shock` network).
-const char* shock_absorber_source();
-
+/// The dashboard system (examples/rsl/dashboard.rsl): modules, the `dash`
+/// network and the composable `dash_core` sub-network used for the
+/// single-FSM baseline.
 frontend::ParsedFile dashboard();
+/// The shock absorber system (examples/rsl/shock_absorber.rsl): modules and
+/// the `shock` network.
 frontend::ParsedFile shock_absorber();
 
 /// Dashboard modules in the stable row order used by the benches
@@ -39,22 +38,18 @@ std::shared_ptr<cfsm::Network> dash_core_network();
 std::shared_ptr<cfsm::Network> shock_network();
 std::vector<std::shared_ptr<const cfsm::Cfsm>> shock_modules();
 
-/// RSL source of the level-meter system: a quantizer that only ever emits
-/// levels 0..3 into an int[8] net feeding a bar display. The display's
-/// overload branch (`value(level) >= 4`) is locally reachable but globally
-/// dead — the showcase for symbolic reachability proving an assertion the
-/// per-CFSM analysis cannot, and for the reached-set care filter shrinking
-/// the display's s-graph.
-const char* level_meter_source();
-frontend::ParsedFile level_meter();
+/// The level-meter network (examples/rsl/meter.rsl): a quantizer that only
+/// ever emits levels 0..3 into an int[8] net feeding a bar display. The
+/// display's overload branch (`value(level) >= 4`) is locally reachable but
+/// globally dead — the showcase for symbolic reachability proving an
+/// assertion the per-CFSM analysis cannot, and for the reached-set care
+/// filter shrinking the display's s-graph.
 std::shared_ptr<cfsm::Network> meter_network();
-std::vector<std::shared_ptr<const cfsm::Cfsm>> meter_modules();
 
-/// RSL source of a third control-dominated system from the paper's
-/// motivating domain (§I-A "from microwave ovens and watches to
-/// telecommunication"): a microwave oven controller — keypad, cooking
-/// controller with door interlock, magnetron driver and beeper.
-const char* microwave_source();
+/// A third control-dominated system from the paper's motivating domain
+/// (§I-A "from microwave ovens and watches to telecommunication"): a
+/// microwave oven controller — keypad, cooking controller with door
+/// interlock, magnetron driver and beeper (examples/rsl/microwave.rsl).
 frontend::ParsedFile microwave();
 std::shared_ptr<cfsm::Network> microwave_network();
 std::vector<std::shared_ptr<const cfsm::Cfsm>> microwave_modules();

@@ -94,44 +94,56 @@ struct AbortSim {
 }  // namespace
 
 RtosSimulation::RtosSimulation(const cfsm::Network& network, RtosConfig config)
-    : network_(&network), config_(std::move(config)), nets_(network.nets()) {
-  int decl = 0;
+    : network_(&network), config_(std::move(config)) {
+  std::map<std::string, size_t> index;
   for (const cfsm::Instance& inst : network.instances()) {
+    index[inst.name] = tasks_.size();
     TaskState t;
     t.name = inst.name;
     t.instance = &inst;
-    t.decl_index = decl++;
-    auto it = config_.priority.find(inst.name);
-    if (it != config_.priority.end()) t.priority = it->second;
+    t.hardware = config_.hardware_instances.count(inst.name) != 0;
     tasks_.push_back(std::move(t));
+  }
+  for (TaskState& t : tasks_) {
+    for (const std::vector<std::string>& chain : config_.chains) {
+      auto pos = std::find(chain.begin(), chain.end(), t.name);
+      if (pos == chain.end()) continue;
+      for (++pos; pos != chain.end(); ++pos)
+        if (index.count(*pos) != 0) t.chain_next.push_back(index.at(*pos));
+      break;  // a task follows the first chain that names it
+    }
+  }
+  for (const auto& [name, net] : network.nets()) {
+    Route& r = routes_[name];
+    for (const auto& [inst, port] : net.consumers)
+      r.consumers.emplace_back(index.at(inst), port);
+    auto it = config_.overflow_by_net.find(name);
+    r.overflow = it != config_.overflow_by_net.end() ? it->second
+                                                     : config_.overflow_default;
+    r.isr_executed = config_.isr_executed_events.count(name) != 0;
   }
 }
 
+RtosSimulation::TaskState& RtosSimulation::task(const std::string& instance) {
+  for (TaskState& t : tasks_)
+    if (t.name == instance) return t;
+  check_failed("false", __FILE__, __LINE__, "no instance named " + instance);
+}
+
 void RtosSimulation::set_task(const std::string& instance, ReactFn fn) {
-  for (TaskState& t : tasks_) {
-    if (t.name == instance) {
-      t.react = std::move(fn);
-      return;
-    }
-  }
-  POLIS_CHECK_MSG(false, "no instance named " << instance);
+  task(instance).react = std::move(fn);
 }
 
 void RtosSimulation::set_reference_task(const std::string& instance,
                                         long long cycles) {
-  for (TaskState& t : tasks_) {
-    if (t.name == instance) {
-      const cfsm::Cfsm* m = t.instance->machine.get();
-      t.react = [m, cycles](const cfsm::Snapshot& snap,
-                            const std::map<std::string, std::int64_t>& st,
-                            long long* out_cycles) {
-        *out_cycles = cycles;
-        return m->react(snap, st);
-      };
-      return;
-    }
-  }
-  POLIS_CHECK_MSG(false, "no instance named " << instance);
+  TaskState& t = task(instance);
+  const cfsm::Cfsm* m = t.instance->machine.get();
+  t.react = [m, cycles](const cfsm::Snapshot& snap,
+                        const std::map<std::string, std::int64_t>& st,
+                        long long* out_cycles) {
+    *out_cycles = cycles;
+    return m->react(snap, st);
+  };
 }
 
 bool RtosSimulation::enabled(const TaskState& t) const {
@@ -153,6 +165,14 @@ SimStats RtosSimulation::run(const std::vector<ExternalEvent>& events,
     run_span.arg("network", network_->name());
     run_span.arg("external_events", events.size());
   }
+
+  // Fault and polling sums add cycles to caller times, and a stimulus at
+  // kInf would read as "no stimulus": keep caller times below the sentinel.
+  for (const ExternalEvent& e : events)
+    POLIS_CHECK_MSG(e.time < kInf, "external event on net "
+                                       << e.net << " at t=" << e.time
+                                       << " is not below the time limit "
+                                       << kInf);
 
   struct Delivery {
     long long dtime;   // when the flags are actually set
@@ -253,10 +273,61 @@ SimStats RtosSimulation::run(const std::vector<ExternalEvent>& events,
 
   // --- Helpers ---------------------------------------------------------------
 
-  auto overflow_for = [&](const std::string& net) {
-    auto it = config_.overflow_by_net.find(net);
-    return it != config_.overflow_by_net.end() ? it->second
-                                               : config_.overflow_default;
+  // Writes `arrival` into a 1-place buffer (§II-D) under the net's overflow
+  // policy; returns false when kDropNew discards it. `clash` describes the
+  // collision for the kAbortWithDiagnostic diagnostic.
+  auto buffer_write = [&](Flag& slot, const Flag& arrival,
+                          const std::string& net, OverflowPolicy policy,
+                          long long now, const auto& clash) {
+    if (slot.present) {
+      stats.lost_events[net]++;
+      switch (policy) {
+        case OverflowPolicy::kOverwrite:
+          break;  // paper default: newest wins
+        case OverflowPolicy::kDropNew:
+          // Oldest wins: the arriving event is discarded.
+          log_event(now, LogEvent::Kind::kFault, "dropnew " + net,
+                    arrival.value);
+          return false;
+        case OverflowPolicy::kAbortWithDiagnostic: {
+          std::ostringstream os;
+          os << "buffer overflow on net " << net << " at t=" << now << ": ";
+          clash(os);
+          throw AbortSim{false, os.str()};
+        }
+      }
+    }
+    slot = arrival;
+    return true;
+  };
+
+  // §IV-D: a reaction reads its flags atomically at start (later arrivals go
+  // to the incoming buffer); a reaction that fires no rule gets its input
+  // events back for the next execution.
+  struct Frozen {
+    cfsm::Snapshot snap;
+    std::map<std::string, Flag> flags;
+    long long stimulus = kInf;    // originating external stimulus
+    long long enabled_at = kInf;  // earliest undetected event (deadlines)
+  };
+  auto freeze = [](TaskState& t) {
+    Frozen f;
+    for (const auto& [port, flag] : t.flags) {
+      if (!flag.present) continue;
+      f.snap.present[port] = true;
+      const cfsm::Signal* in = t.instance->machine->find_input(port);
+      if (in != nullptr && !in->is_pure()) f.snap.value[port] = flag.value;
+      f.stimulus = std::min(f.stimulus, flag.stimulus_time);
+      f.enabled_at = std::min(f.enabled_at, flag.emit_time);
+    }
+    f.flags.swap(t.flags);
+    return f;
+  };
+  auto preserve_if_empty = [](TaskState& t, const Frozen& f,
+                              const cfsm::Reaction& reaction) {
+    if (reaction.fired) return;
+    for (const auto& [port, flag] : f.flags)
+      if (flag.present) t.flags[port] = flag;
   };
 
   // Watchdog state: reactions executed since the last external output, and
@@ -265,7 +336,8 @@ SimStats RtosSimulation::run(const std::vector<ExternalEvent>& events,
   std::vector<long long> runnable_since(tasks_.size(), -1);
   long long watermark = 0;  // latest simulated time (for abort diagnostics)
 
-  auto note_reaction = [&](const std::string& task, long long now) {
+  auto note_reaction = [&](const std::string& task, long long now,
+                           bool fired) {
     stats.reactions_run++;
     if (config_.watchdog.livelock_reactions > 0 &&
         ++reactions_since_output > config_.watchdog.livelock_reactions) {
@@ -275,6 +347,7 @@ SimStats RtosSimulation::run(const std::vector<ExternalEvent>& events,
          << " at t=" << now << ")";
       throw AbortSim{true, os.str()};
     }
+    if (!fired) stats.empty_reactions++;
   };
 
   auto check_starvation = [&](long long now) {
@@ -305,8 +378,8 @@ SimStats RtosSimulation::run(const std::vector<ExternalEvent>& events,
     log_event(now, LogEvent::Kind::kEmission, net, value);
     stats.emitted_events[net]++;
     watermark = std::max(watermark, now);
-    auto net_it = nets_.find(net);
-    if (net_it == nets_.end() || net_it->second.consumers.empty()) {
+    const auto r = routes_.find(net);
+    if (r == routes_.end() || r->second.consumers.empty()) {
       // External output: observed by the environment.
       stats.outputs.push_back(ObservedEmission{now, net, value, producer});
       stats.input_to_output_latency[net].push_back(now - stimulus);
@@ -316,79 +389,46 @@ SimStats RtosSimulation::run(const std::vector<ExternalEvent>& events,
       reactions_since_output = 0;
       return;
     }
-    for (const auto& [inst_name, port] : net_it->second.consumers) {
-      for (size_t ti = 0; ti < tasks_.size(); ++ti) {
-        TaskState& c = tasks_[ti];
-        if (c.name != inst_name) continue;
-        auto& target = c.running ? c.incoming : c.flags;
-        TaskState::Flag& f = target[port];
-        if (f.present) {
-          // 1-place buffer overflow (§II-D): apply the net's policy.
-          stats.lost_events[net]++;
-          switch (overflow_for(net)) {
-            case OverflowPolicy::kOverwrite:
-              break;  // paper default: newest wins
-            case OverflowPolicy::kDropNew:
-              // Oldest wins: the arriving event is discarded.
-              log_event(now, LogEvent::Kind::kFault, "dropnew " + net, value);
-              continue;
-            case OverflowPolicy::kAbortWithDiagnostic: {
-              std::ostringstream os;
-              os << "buffer overflow on net " << net << " at t=" << now
-                 << ": event from " << producer << " found port " << port
-                 << " of task " << c.name << " already full";
-              throw AbortSim{false, os.str()};
-            }
-          }
-        }
-        f.present = true;
-        f.value = value;
-        f.emit_time = now;
-        f.stimulus_time = stimulus;
-        log_event(now, LogEvent::Kind::kDelivery, c.name, value);
-        if (config_.hardware_instances.count(c.name) != 0) {
-          run_hardware(ti, now);
-        } else if (!c.running) {
-          if (!runnable[ti]) runnable_since[ti] = now;
-          runnable[ti] = true;
-        }
+    for (const auto& [ti, port] : r->second.consumers) {
+      TaskState& c = tasks_[ti];
+      if (!buffer_write((c.running ? c.incoming : c.flags)[port],
+                        Flag{true, value, now, stimulus}, net,
+                        r->second.overflow, now, [&](std::ostream& os) {
+                          os << "event from " << producer << " found port "
+                             << port << " of task " << c.name
+                             << " already full";
+                        }))
+        continue;
+      log_event(now, LogEvent::Kind::kDelivery, c.name, value);
+      if (c.hardware) {
+        run_hardware(ti, now);
+      } else if (!c.running) {
+        if (!runnable[ti]) runnable_since[ti] = now;
+        runnable[ti] = true;
       }
     }
   };
 
   run_hardware = [&](size_t ti, long long now) {
     TaskState& t = tasks_[ti];
-    cfsm::Snapshot snap;
-    long long stimulus = kInf;
-    for (auto& [port, flag] : t.flags) {
-      if (!flag.present) continue;
-      snap.present[port] = true;
-      const cfsm::Signal* in = t.instance->machine->find_input(port);
-      if (in != nullptr && !in->is_pure()) snap.value[port] = flag.value;
-      stimulus = std::min(stimulus, flag.stimulus_time);
-    }
-    const std::map<std::string, TaskState::Flag> frozen = t.flags;
-    t.flags.clear();
-    if (config_.on_task_start) config_.on_task_start(t.name, now, snap, t.state);
+    const Frozen in = freeze(t);
+    if (config_.on_task_start)
+      config_.on_task_start(t.name, now, in.snap, t.state);
     long long unused_cycles = 0;
-    const cfsm::Reaction reaction = t.react(snap, t.state, &unused_cycles);
-    note_reaction(t.name, now);
-    if (!reaction.fired) {
-      stats.empty_reactions++;
-      for (const auto& [port, flag] : frozen)
-        if (flag.present) t.flags[port] = flag;
-    }
+    const cfsm::Reaction reaction = t.react(in.snap, t.state, &unused_cycles);
+    note_reaction(t.name, now, reaction.fired);
+    preserve_if_empty(t, in, reaction);
     t.state = reaction.next_state;
     const long long done = now + config_.hw_reaction_cycles;
     if (config_.on_task_end) config_.on_task_end(t.name, done, t.state);
     for (const auto& [port, value] : reaction.emissions)
       deliver_to_consumers(t.instance->net_of(port), value, done,
-                           stimulus == kInf ? done : stimulus, t.name);
+                           in.stimulus == kInf ? done : in.stimulus, t.name);
   };
 
-  // Set when deliver_due hands an ISR-executed event in: the innermost
-  // run_task loop services the designated consumers immediately (§IV-C).
-  std::vector<int> isr_ready;
+  // Set when deliver_due hands an ISR-executed event in; serviced by
+  // service_isr on an idle CPU or in the middle of a reaction.
+  std::vector<size_t> isr_ready;
 
   auto deliver_due = [&](long long now) {
     while (next_delivery < schedule.size() &&
@@ -398,18 +438,24 @@ SimStats RtosSimulation::run(const std::vector<ExternalEvent>& events,
                                          : config_.isr_overhead_cycles) +
                                d.spike;
       deliver_to_consumers(d.net, d.value, d.dtime, d.stimulus, "env");
-      if (!d.polled && config_.isr_executed_events.count(d.net) != 0) {
-        auto net_it = nets_.find(d.net);
-        if (net_it == nets_.end()) continue;
-        for (const auto& [inst_name, port] : net_it->second.consumers) {
-          (void)port;
-          for (size_t ti = 0; ti < tasks_.size(); ++ti)
-            if (tasks_[ti].name == inst_name && runnable[ti] &&
-                enabled(tasks_[ti]))
-              isr_ready.push_back(static_cast<int>(ti));
-        }
-      }
+      const auto r = d.polled ? routes_.end() : routes_.find(d.net);
+      if (r == routes_.end() || !r->second.isr_executed) continue;
+      for (const auto& consumer : r->second.consumers)
+        if (runnable[consumer.first] && enabled(tasks_[consumer.first]))
+          isr_ready.push_back(consumer.first);
     }
+  };
+
+  // §IV-C immediate attention: runs the ISR-executed consumers queued by
+  // deliver_due, from `now`; returns the time they are done.
+  auto service_isr = [&](long long now, const auto& run_task) {
+    while (!isr_ready.empty()) {
+      const size_t h = isr_ready.back();
+      isr_ready.pop_back();
+      if (runnable[h] && enabled(tasks_[h]))
+        now = run_task(h, now, config_.context_switch_cycles, run_task);
+    }
+    return now;
   };
 
   auto pick_next = [&]() -> int {
@@ -438,11 +484,11 @@ SimStats RtosSimulation::run(const std::vector<ExternalEvent>& events,
   // inside this call, extending the completion time. `dispatch_cycles` is
   // the scheduling overhead charged for this activation (a full context
   // switch normally, the cheap chain link for §IV-A chained executions).
-  auto run_task = [&](int idx, long long start, long long dispatch_cycles,
+  auto run_task = [&](size_t idx, long long start, long long dispatch_cycles,
                       auto&& self) -> long long {
-    TaskState& t = tasks_[static_cast<size_t>(idx)];
-    runnable[static_cast<size_t>(idx)] = false;
-    runnable_since[static_cast<size_t>(idx)] = -1;
+    TaskState& t = tasks_[idx];
+    runnable[idx] = false;
+    runnable_since[idx] = -1;
 
     // Dispatch-order fault draws: stall first, then execution jitter.
     if (faulty) {
@@ -456,30 +502,15 @@ SimStats RtosSimulation::run(const std::vector<ExternalEvent>& events,
       }
     }
 
-    // Freeze the snapshot (§IV-D): flags are read atomically at start; any
-    // event arriving during execution goes to the incoming buffer.
-    cfsm::Snapshot snap;
-    long long stimulus = kInf;
-    long long enabled_at = kInf;  // earliest undetected event (deadlines)
-    for (auto& [port, flag] : t.flags) {
-      if (!flag.present) continue;
-      snap.present[port] = true;
-      const cfsm::Signal* in = t.instance->machine->find_input(port);
-      if (in != nullptr && !in->is_pure()) snap.value[port] = flag.value;
-      stimulus = std::min(stimulus, flag.stimulus_time);
-      enabled_at = std::min(enabled_at, flag.emit_time);
-    }
-    std::map<std::string, TaskState::Flag> frozen = t.flags;
-    t.flags.clear();
+    const Frozen in = freeze(t);
     t.running = true;
     log_event(start, LogEvent::Kind::kTaskStart, t.name, 0);
     if (config_.on_task_start)
-      config_.on_task_start(t.name, start, snap, t.state);
+      config_.on_task_start(t.name, start, in.snap, t.state);
 
     long long cycles = 0;
-    const cfsm::Reaction reaction = t.react(snap, t.state, &cycles);
-    note_reaction(t.name, start);
-    if (!reaction.fired) stats.empty_reactions++;
+    const cfsm::Reaction reaction = t.react(in.snap, t.state, &cycles);
+    note_reaction(t.name, start, reaction.fired);
     if (faulty && plan.exec_jitter > 0) {
       const long long extra = std::llround(static_cast<double>(cycles) *
                                            plan.exec_jitter *
@@ -507,20 +538,15 @@ SimStats RtosSimulation::run(const std::vector<ExternalEvent>& events,
       remaining -= next_d - now;
       now = next_d;
       deliver_due(now);
-      while (!isr_ready.empty()) {  // §IV-C immediate attention
-        const int h = isr_ready.back();
-        isr_ready.pop_back();
-        if (runnable[static_cast<size_t>(h)] &&
-            enabled(tasks_[static_cast<size_t>(h)]))
-          now = self(h, now, config_.context_switch_cycles, self);
-      }
+      now = service_isr(now, self);
       if (config_.preemptive) {
         while (true) {
           int h = pick_next();
           if (h < 0 ||
               tasks_[static_cast<size_t>(h)].priority >= t.priority)
             break;
-          now = self(h, now, config_.context_switch_cycles, self);
+          now = self(static_cast<size_t>(h), now,
+                     config_.context_switch_cycles, self);
         }
       }
     }
@@ -529,58 +555,39 @@ SimStats RtosSimulation::run(const std::vector<ExternalEvent>& events,
     // Completion: apply effects atomically (the reaction delay has elapsed).
     t.state = reaction.next_state;
     if (config_.on_task_end) config_.on_task_end(t.name, now, t.state);
-    if (!reaction.fired) {
-      // No rule matched: preserve the input events for the next execution
-      // (§IV-D). A fresh arrival for the same port (merged below) overwrites
-      // the preserved event, counting it as lost.
-      for (const auto& [port, flag] : frozen)
-        if (flag.present) t.flags[port] = flag;
-    }
+    // A fresh arrival for a preserved port (merged below) overwrites the
+    // preserved event, counting it as lost.
+    preserve_if_empty(t, in, reaction);
     // Merge buffered arrivals, under the same per-net overflow policy as
     // delivery: a preserved event and a buffered arrival contend for the
     // same 1-place buffer.
     bool any_incoming = false;
-    for (auto& [port, flag] : t.incoming) {
+    for (const auto& [port, flag] : t.incoming) {
       if (!flag.present) continue;
       const std::string& net = t.instance->net_of(port);
-      TaskState::Flag& f = t.flags[port];
-      if (f.present) {
-        stats.lost_events[net]++;
-        switch (overflow_for(net)) {
-          case OverflowPolicy::kOverwrite:
-            break;
-          case OverflowPolicy::kDropNew:
-            log_event(now, LogEvent::Kind::kFault, "dropnew " + net,
-                      flag.value);
-            continue;
-          case OverflowPolicy::kAbortWithDiagnostic: {
-            std::ostringstream os;
-            os << "buffer overflow on net " << net << " at t=" << now
-               << ": arrival buffered during the reaction of task " << t.name
+      any_incoming |= buffer_write(
+          t.flags[port], flag, net, routes_.at(net).overflow, now,
+          [&](std::ostream& os) {
+            os << "arrival buffered during the reaction of task " << t.name
                << " collided with its preserved event on port " << port;
-            throw AbortSim{false, os.str()};
-          }
-        }
-      }
-      any_incoming = true;
-      f = flag;
+          });
     }
     t.incoming.clear();
     t.running = false;
     if (any_incoming) {
-      if (!runnable[static_cast<size_t>(idx)])
-        runnable_since[static_cast<size_t>(idx)] = now;
-      runnable[static_cast<size_t>(idx)] = true;
+      if (!runnable[idx]) runnable_since[idx] = now;
+      runnable[idx] = true;
     }
 
     // Deadline monitor: response time is measured from the earliest event
     // that enabled this activation to its completion.
     auto monitor = config_.deadline_monitors.find(t.name);
     if (monitor != config_.deadline_monitors.end() &&
-        monitor->second.deadline_cycles > 0 && enabled_at != kInf &&
-        now - enabled_at > monitor->second.deadline_cycles) {
+        monitor->second.deadline_cycles > 0 && in.enabled_at != kInf &&
+        now - in.enabled_at > monitor->second.deadline_cycles) {
       stats.deadline_misses[t.name]++;
-      log_event(now, LogEvent::Kind::kDeadlineMiss, t.name, now - enabled_at);
+      log_event(now, LogEvent::Kind::kDeadlineMiss, t.name,
+                now - in.enabled_at);
       switch (monitor->second.action) {
         case DeadlineMonitor::MissAction::kCount:
           break;
@@ -589,8 +596,8 @@ SimStats RtosSimulation::run(const std::vector<ExternalEvent>& events,
           t.flags.clear();
           t.incoming.clear();
           t.state = t.instance->machine->initial_state();
-          runnable[static_cast<size_t>(idx)] = false;
-          runnable_since[static_cast<size_t>(idx)] = -1;
+          runnable[idx] = false;
+          runnable_since[idx] = -1;
           break;
         case DeadlineMonitor::MissAction::kDemote:
           t.priority += monitor->second.demote_by;
@@ -600,27 +607,15 @@ SimStats RtosSimulation::run(const std::vector<ExternalEvent>& events,
 
     log_event(now, LogEvent::Kind::kTaskEnd, t.name, 0);
     // Emissions propagate at completion time.
-    for (const auto& [port, value] : reaction.emissions) {
+    for (const auto& [port, value] : reaction.emissions)
       deliver_to_consumers(t.instance->net_of(port), value, now,
-                           stimulus == kInf ? now : stimulus, t.name);
-    }
+                           in.stimulus == kInf ? now : in.stimulus, t.name);
 
     // §IV-A chaining: run later members of this task's chain that the
     // emissions just enabled, bypassing the scheduler.
-    for (const std::vector<std::string>& chain : config_.chains) {
-      auto pos = std::find(chain.begin(), chain.end(), t.name);
-      if (pos == chain.end()) continue;
-      for (auto next_name = pos + 1; next_name != chain.end(); ++next_name) {
-        for (size_t ti = 0; ti < tasks_.size(); ++ti) {
-          if (tasks_[ti].name != *next_name || !runnable[ti] ||
-              !enabled(tasks_[ti]))
-            continue;
-          now = self(static_cast<int>(ti), now, config_.chain_link_cycles,
-                     self);
-        }
-      }
-      break;
-    }
+    for (const size_t next : t.chain_next)
+      if (runnable[next] && enabled(tasks_[next]))
+        now = self(next, now, config_.chain_link_cycles, self);
     check_starvation(now);
     return now;
   };
@@ -656,16 +651,11 @@ SimStats RtosSimulation::run(const std::vector<ExternalEvent>& events,
       ResourceGovernor::poll_current();
       deliver_due(now);
       check_starvation(now);
-      while (!isr_ready.empty()) {  // §IV-C immediate attention (idle CPU)
-        const int h = isr_ready.back();
-        isr_ready.pop_back();
-        if (runnable[static_cast<size_t>(h)] &&
-            enabled(tasks_[static_cast<size_t>(h)]))
-          now = run_task(h, now, config_.context_switch_cycles, run_task);
-      }
+      now = service_isr(now, run_task);
       const int idx = pick_next();
       if (idx >= 0) {
-        now = run_task(idx, now, config_.context_switch_cycles, run_task);
+        now = run_task(static_cast<size_t>(idx), now,
+                       config_.context_switch_cycles, run_task);
         continue;
       }
       if (next_delivery < schedule.size()) {

@@ -195,31 +195,41 @@ class RtosSimulation {
                long long horizon = 100'000'000);
 
  private:
+  // Per input port: pending event (presence + value + emission time).
+  struct Flag {
+    bool present = false;
+    std::int64_t value = 0;
+    long long emit_time = 0;
+    long long stimulus_time = 0;  // originating external stimulus
+  };
   struct TaskState {
     std::string name;
     const cfsm::Instance* instance = nullptr;
     ReactFn react;
     std::map<std::string, std::int64_t> state;
-    // Per input port: pending event (presence + value + emission time).
-    struct Flag {
-      bool present = false;
-      std::int64_t value = 0;
-      long long emit_time = 0;
-      long long stimulus_time = 0;  // originating external stimulus
-    };
     std::map<std::string, Flag> flags;     // by port name
     std::map<std::string, Flag> incoming;  // buffered while running
     bool running = false;
     int priority = 100;
-    int decl_index = 0;
+    bool hardware = false;           // a hw-CFSM (§I-A co-design)
+    std::vector<size_t> chain_next;  // later members of its §IV-A chain
+  };
+  // One net's delivery, resolved at construction: its consumers, the
+  // overflow policy of their 1-place buffers (§II-D), and whether its
+  // external events run the consumers inside the ISR (§IV-C).
+  struct Route {
+    std::vector<std::pair<size_t, std::string>> consumers;
+    OverflowPolicy overflow = OverflowPolicy::kOverwrite;
+    bool isr_executed = false;
   };
 
   bool enabled(const TaskState& t) const;
+  TaskState& task(const std::string& instance);
 
   const cfsm::Network* network_;
   RtosConfig config_;
   std::vector<TaskState> tasks_;
-  std::map<std::string, cfsm::Net> nets_;
+  std::map<std::string, Route> routes_;  // by net name
 };
 
 }  // namespace polis::rtos

@@ -122,20 +122,17 @@ ReachResult reachable_states(const TransitionSystem& tr,
           : options.num_threads;
   std::unique_ptr<ParallelImage> par;
   if (threads > 1 && tr.clusters.size() > 1) {
-    if (!options.degrade_on_budget) {
+    // Worker setup migrates the whole relation into per-worker managers —
+    // a real allocation that can trip an already-tight budget or land
+    // after a cancellation. In degrade mode, fall back to the serial image
+    // path (which has its own recovery ladder below) instead of failing the
+    // run; the loop head re-checks deadline/cancel before the first image.
+    try {
       par = std::make_unique<ParallelImage>(tr, threads);
-    } else {
-      // Worker setup migrates the whole relation into per-worker managers —
-      // a real allocation that can trip an already-tight budget or land
-      // after a cancellation. Degrade to the serial image path (which has
-      // its own recovery ladder below) instead of failing the run; the
-      // loop head re-checks deadline/cancel before the first image.
-      try {
-        par = std::make_unique<ParallelImage>(tr, threads);
-      } catch (const RecoverableError&) {
-        if (gov != nullptr)
-          gov->note_degradation("parallel image setup over budget; serial");
-      }
+    } catch (const RecoverableError&) {
+      if (!options.degrade_on_budget) throw;
+      if (gov != nullptr)
+        gov->note_degradation("parallel image setup over budget; serial");
     }
   }
   const auto step_image = [&](const bdd::Bdd& from) {
@@ -172,56 +169,50 @@ ReachResult reachable_states(const TransitionSystem& tr,
       layer_span.arg("frontier_nodes", mgr.node_count(frontier));
     }
 
-    if (options.degrade_on_budget) {
-      bool recovered = false;
-      try {
-        const bdd::Bdd img = step_image(frontier);
-        frontier = img & !result.reached;
-        result.reached = result.reached | frontier;
-      } catch (const Cancelled&) {
-        if (gov != nullptr)
-          gov->note_degradation("verif fixpoint cancelled mid-image");
-        stop_unconverged();
-        break;
-      } catch (const BudgetExceeded& e) {
-        if (e.kind() == BudgetExceeded::Kind::kDeadline) {
-          if (gov != nullptr)
-            gov->note_degradation("verif fixpoint stopped at deadline");
-          stop_unconverged();
-          break;
-        }
-        // Node/byte/allocation pressure: widen under governor suspension
-        // (the recovery itself must not re-trip), reclaim memory, restart
-        // the frontier from the enlarged set.
-        ResourceGovernor::Suspend suspend;
-        ++result.stats.budget_recoveries;
-        if (gov != nullptr)
-          gov->note_degradation("verif image over budget; widening");
-        const bdd::Bdd widened = widen(enc, result.reached);
-        if (widened == result.reached) {
-          // Nothing left to smooth: the abstraction cannot get coarser, so
-          // stop with an honest non-verdict instead of spinning.
-          stop_unconverged();
-          break;
-        }
-        result.reached = widened;
-        frontier = result.reached;
-        result.layers.clear();
-        result.stats.exact = false;
-        ++result.stats.widenings;
-        mgr.garbage_collect();
-        ++result.stats.gc_runs;
-        // The trip may have left worker arenas bloated mid-image; collect
-        // them all before retrying on the widened set.
-        if (par != nullptr)
-          result.stats.worker_gc_runs += par->collect_garbage(1);
-        recovered = true;
-      }
-      if (recovered) continue;
-    } else {
+    try {
       const bdd::Bdd img = step_image(frontier);
       frontier = img & !result.reached;
       result.reached = result.reached | frontier;
+    } catch (const Cancelled&) {
+      if (!options.degrade_on_budget) throw;
+      if (gov != nullptr)
+        gov->note_degradation("verif fixpoint cancelled mid-image");
+      stop_unconverged();
+      break;
+    } catch (const BudgetExceeded& e) {
+      if (!options.degrade_on_budget) throw;
+      if (e.kind() == BudgetExceeded::Kind::kDeadline) {
+        if (gov != nullptr)
+          gov->note_degradation("verif fixpoint stopped at deadline");
+        stop_unconverged();
+        break;
+      }
+      // Node/byte/allocation pressure: widen under governor suspension
+      // (the recovery itself must not re-trip), reclaim memory, restart
+      // the frontier from the enlarged set.
+      ResourceGovernor::Suspend suspend;
+      ++result.stats.budget_recoveries;
+      if (gov != nullptr)
+        gov->note_degradation("verif image over budget; widening");
+      const bdd::Bdd widened = widen(enc, result.reached);
+      if (widened == result.reached) {
+        // Nothing left to smooth: the abstraction cannot get coarser, so
+        // stop with an honest non-verdict instead of spinning.
+        stop_unconverged();
+        break;
+      }
+      result.reached = widened;
+      frontier = result.reached;
+      result.layers.clear();
+      result.stats.exact = false;
+      ++result.stats.widenings;
+      mgr.garbage_collect();
+      ++result.stats.gc_runs;
+      // The trip may have left worker arenas bloated mid-image; collect
+      // them all before retrying on the widened set.
+      if (par != nullptr)
+        result.stats.worker_gc_runs += par->collect_garbage(1);
+      continue;
     }
     if (options.keep_layers && !frontier.is_zero())
       result.layers.push_back(frontier);
