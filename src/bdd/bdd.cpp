@@ -144,10 +144,10 @@ std::uint32_t BddManager::find_or_add(std::uint32_t var, std::uint32_t lo,
     // unwinds with the manager fully consistent (the satisfied lookup path
     // above, live handles, tables and cache are all untouched) — this is the
     // recoverable-unwind boundary the governor relies on.
-    if (nodes_.size() >= kMaxArenaNodes)
+    if (nodes_.size() >= max_arena_nodes_)
       throw BudgetExceeded(
           BudgetExceeded::Kind::kNodes,
-          "BDD arena exceeds " + std::to_string(kMaxArenaNodes) +
+          "BDD arena exceeds " + std::to_string(max_arena_nodes_) +
               " nodes (handle space exhausted)");
     ResourceGovernor::draw_alloc_fault_current("bdd.arena");
     // Charge-then-refund-on-failure keeps the governor's counter equal to
@@ -1042,6 +1042,67 @@ size_t BddManager::mark_live() {
 
 size_t BddManager::live_node_count() { return mark_live(); }
 
+BddManager::LiveCounts::LiveCounts(BddManager& mgr) : mgr_(mgr) {
+  POLIS_CHECK_MSG(!mgr.has_live_counts(), "LiveCounts sessions do not nest");
+  // Pruning first makes every chained node live, the invariant the swaps
+  // keep: a node is freed the moment its last live phase loses its last
+  // reference.
+  mgr.prune_dead_nodes();
+  try {
+    mgr.refs_.assign(2 * mgr.nodes_.capacity(), 0);
+  } catch (const std::bad_alloc&) {
+    throw BudgetExceeded(BudgetExceeded::Kind::kAllocation,
+                         "BDD live-count allocation failed");
+  }
+  mgr.counted_live_ = 0;
+  mgr.session_freed_ = 0;
+  // One reference per registered handle, so aliased roots stay counted
+  // until their last handle is gone.
+  for (const Bdd* h = mgr.handle_head_; h != nullptr; h = h->next_)
+    mgr.ref_pair(h->idx_);
+}
+
+BddManager::LiveCounts::~LiveCounts() {
+  std::vector<std::uint32_t>().swap(mgr_.refs_);
+  if (mgr_.session_freed_ != 0) {
+    // Cached results may name freed slots, which the free list recycles
+    // into different functions.
+    mgr_.cache_clear();
+    mgr_.stats_.nodes_reclaimed += mgr_.session_freed_;
+  }
+}
+
+void BddManager::ref_pair(std::uint32_t h) {
+  if (is_term(h) || refs_[h]++ != 0) return;
+  ++counted_live_;
+  const Node& n = nodes_[idx_of(h)];
+  ref_pair(n.lo ^ comp_of(h));
+  ref_pair(n.hi ^ comp_of(h));
+}
+
+void BddManager::deref_pair(std::uint32_t h) {
+  if (is_term(h) || --refs_[h] != 0) return;
+  --counted_live_;
+  const Node& n = nodes_[idx_of(h)];
+  deref_pair(n.lo ^ comp_of(h));
+  deref_pair(n.hi ^ comp_of(h));
+  if (refs_[negate(h)] == 0) free_node(idx_of(h));
+}
+
+void BddManager::free_node(std::uint32_t i) {
+  Node& n = nodes_[i];
+  Subtable& st = subtables_[n.var];
+  std::uint32_t* link =
+      &st.buckets[hash_children(n.lo, n.hi) & (st.buckets.size() - 1)];
+  while (*link != i) link = &nodes_[*link].next;
+  *link = n.next;
+  --st.count;
+  n.var = kDeadVar;
+  n.next = free_head_;
+  free_head_ = i;
+  ++session_freed_;
+}
+
 // --- Reordering / memory ---------------------------------------------------------
 
 size_t BddManager::swap_adjacent_levels(int level) {
@@ -1059,18 +1120,22 @@ size_t BddManager::swap_adjacent_levels(int level) {
   // The swap body is not unwindable once x's chains are stolen, so every
   // throwing path is moved in front of it: reject if the worst case (two
   // fresh nodes per x-node) could hit the hard arena cap, pre-reserve the
-  // arena so no reallocation happens mid-swap, and suspend the governor so
-  // injected faults and budget trips cannot fire inside the rewrite. The
-  // budget is re-checked by the caller between swaps (sift polls after each
-  // step), so suspension here delays a trip by at most one swap.
+  // arena (and the live counts, when held) so no reallocation happens
+  // mid-swap, and suspend the governor so injected faults and budget trips
+  // cannot fire inside the rewrite. The budget is re-checked by the caller
+  // between swaps (sift polls after each step), so suspension here delays a
+  // trip by at most one swap.
   ResourceGovernor::Suspend suspend;
+  const bool counting = has_live_counts();
   const size_t worst_new = 2 * static_cast<size_t>(subtables_[xv].count);
-  if (nodes_.size() + worst_new > kMaxArenaNodes)
+  if (nodes_.size() + worst_new > max_arena_nodes_)
     throw BudgetExceeded(
         BudgetExceeded::Kind::kNodes,
         "BDD arena would exceed the handle-space cap during a level swap");
   try {
     nodes_.reserve(nodes_.size() + worst_new);
+    if (counting && refs_.size() < 2 * nodes_.capacity())
+      refs_.resize(2 * nodes_.capacity(), 0);
     // Pre-grow both subtables so no insertion during the rewrite can trigger
     // a (potentially throwing) growth: x's table can end up holding its old
     // nodes plus two fresh children per rewritten node (≤ 3× its count), y's
@@ -1148,6 +1213,19 @@ size_t BddManager::swap_adjacent_levels(int level) {
     nodes_[n].lo = new_lo;
     nodes_[n].hi = new_hi;
     subtable_insert(yv, n);
+    if (!counting) continue;
+    // Move each live phase's references from the old children to the new
+    // ones. Increments go first, so the grandchildren — all still reached
+    // through the new x-nodes — never touch zero; only old y-children can
+    // die, and they are freed on the spot. A pending rewrite's children
+    // hold a reference from it, so no slot it reads can be recycled.
+    for (std::uint32_t phase = 0; phase < 2; ++phase) {
+      if (refs_[(n << 1) | phase] == 0) continue;
+      ref_pair(new_hi ^ phase);
+      ref_pair(new_lo ^ phase);
+      deref_pair(f1 ^ phase);
+      deref_pair(f0 ^ phase);
+    }
   }
   std::swap(invperm_[static_cast<size_t>(level)],
             invperm_[static_cast<size_t>(level + 1)]);

@@ -40,7 +40,9 @@
 //     list (slots are recycled by the next allocation); `garbage_collect`
 //     compacts the arena level by level — nodes of one variable end up
 //     contiguous, so `swap_adjacent_levels` and the apply loops walk hot
-//     cachelines — and rehashes the subtables.
+//     cachelines — and rehashes the subtables. Reference counts exist only
+//     inside a sift (`LiveCounts`): per (node, phase) pair, maintained by
+//     the level swaps alone, so the sift objective is an O(1) read.
 //
 // Handles (`Bdd`) are registered with their `BddManager` on an intrusive
 // doubly-linked list (registration is O(1) and allocation-free), which lets
@@ -353,8 +355,8 @@ class BddManager {
 
   /// Nodes currently threaded on the unique-table chains (live + garbage,
   /// excluding recycled free slots). The gap to the physically live count is
-  /// the garbage a `prune_dead_nodes` would reclaim — the sifting loop's
-  /// prune trigger.
+  /// the garbage a `prune_dead_nodes` would reclaim — the reachability
+  /// fixpoint's GC trigger.
   size_t table_node_count() const {
     size_t total = 0;
     for (const Subtable& st : subtables_) total += st.count;
@@ -383,18 +385,44 @@ class BddManager {
 
   /// Rudell's adjacent-level swap: exchanges the variables at `level` and
   /// `level + 1` by rewriting, in place, only the nodes labelled with the
-  /// upper variable. Every node index keeps denoting the same Boolean
-  /// function (the canonical regular-then-edge form is preserved through the
-  /// rewrite), so registered handles, the unique table and the computed
-  /// cache all stay valid — no arena rebuild. Children of swapped nodes may
-  /// be orphaned (reclaimed by the next `prune_dead_nodes`). Returns the
-  /// number of nodes rewritten.
+  /// upper variable. Every surviving node index keeps denoting the same
+  /// Boolean function (the canonical regular-then-edge form is preserved
+  /// through the rewrite), so registered handles and the unique table stay
+  /// valid — no arena rebuild. Old children of rewritten nodes may be
+  /// orphaned: while `LiveCounts` are held the swap updates them and frees
+  /// the orphans on the spot; otherwise they stay on the chains until the
+  /// next `prune_dead_nodes`. Returns the number of nodes rewritten.
   size_t swap_adjacent_levels(int level);
+
+  /// Sift-scoped exact live counts: one reference count per (node, phase)
+  /// pair, built from the registered handles when the session opens (after
+  /// one `prune_dead_nodes`) and kept exact by every `swap_adjacent_levels`
+  /// while the session lasts, so the sifting objective reads in O(1) and the
+  /// unique table never holds garbage. The registered handle set must not
+  /// change while a session is open. Closing the session drops the counts
+  /// and clears the computed cache if a swap freed any node. Sessions do not
+  /// nest; the apply/ITE paths never touch the counts.
+  class LiveCounts {
+   public:
+    explicit LiveCounts(BddManager& mgr);
+    ~LiveCounts();
+    LiveCounts(const LiveCounts&) = delete;
+    LiveCounts& operator=(const LiveCounts&) = delete;
+
+    /// Equals `live_node_count()`, in O(1).
+    size_t live() const { return mgr_.counted_live_; }
+
+   private:
+    BddManager& mgr_;
+  };
+
+  /// True while a `LiveCounts` session is open on this manager.
+  bool has_live_counts() const { return !refs_.empty(); }
 
   /// Distinct internal subfunctions reachable from the registered handles
   /// (terminals excluded): the sifting objective, phase-counted like
-  /// `node_count`. O(live) per call via the reference-counted root set —
-  /// independent of how many handles alias the same roots.
+  /// `node_count`. O(live) per call: an epoch-marked traversal seeded from
+  /// the handle registry (aliased handles collapse on the mark).
   size_t live_node_count();
 
   /// Compacts the arena, keeping only nodes reachable from live handles.
@@ -430,6 +458,7 @@ class BddManager {
 
  private:
   friend class Bdd;
+  friend struct BddManagerTestPeer;  // lowers max_arena_nodes_ in tests
 
   struct Node {
     std::uint32_t var;
@@ -588,6 +617,13 @@ class BddManager {
   /// liveness; a *node* is live iff either of its phases is marked.
   size_t mark_live();
 
+  // Live-count maintenance (only while a LiveCounts session is open).
+  // Recursion depth is bounded by the number of levels below `h`.
+  void ref_pair(std::uint32_t h);
+  void deref_pair(std::uint32_t h);
+  /// Unlinks node `i` from its subtable chain onto the free list.
+  void free_node(std::uint32_t i);
+
   void check_var(int v) const;
 
   static constexpr int kTermLevel = 0x7fffffff;
@@ -621,6 +657,14 @@ class BddManager {
   // many managers meters live usage, not cumulative traffic).
   std::uint64_t gov_charged_nodes_ = 0;
   std::uint64_t gov_charged_bytes_ = 0;
+  // LiveCounts session state: one count per tagged handle (empty when no
+  // session is open), the number of pairs with a nonzero count, and the
+  // nodes the session's swaps have freed.
+  std::vector<std::uint32_t> refs_;
+  size_t counted_live_ = 0;
+  size_t session_freed_ = 0;
+  // kMaxArenaNodes, except in tests that exercise the cap.
+  size_t max_arena_nodes_ = kMaxArenaNodes;
 };
 
 // --- Inline handle lifecycle -----------------------------------------------------

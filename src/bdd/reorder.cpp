@@ -21,7 +21,6 @@ void publish_sift_telemetry(const SiftTelemetry& tel) {
     obs::MetricsRegistry::Id swaps = reg.counter("sift.swaps");
     obs::MetricsRegistry::Id evals = reg.counter("sift.size_evaluations");
     obs::MetricsRegistry::Id passes = reg.counter("sift.passes_run");
-    obs::MetricsRegistry::Id gcs = reg.counter("sift.garbage_collections");
     obs::MetricsRegistry::Id saved = reg.counter("sift.nodes_saved");
     obs::MetricsRegistry::Id peak = reg.max_gauge("sift.peak_arena");
     obs::MetricsRegistry::Id shrink = reg.histogram("sift.run_shrink_nodes");
@@ -34,7 +33,6 @@ void publish_sift_telemetry(const SiftTelemetry& tel) {
   reg.add(ids.swaps, tel.swaps);
   reg.add(ids.evals, tel.size_evaluations);
   reg.add(ids.passes, static_cast<std::uint64_t>(tel.passes_run));
-  reg.add(ids.gcs, static_cast<std::uint64_t>(tel.garbage_collections));
   const std::uint64_t shrunk =
       tel.initial_size > tel.final_size ? tel.initial_size - tel.final_size : 0;
   reg.add(ids.saved, shrunk);
@@ -146,15 +144,37 @@ size_t sift(BddManager& mgr,
   SiftTelemetry& tel = options.telemetry ? *options.telemetry : local;
   tel = SiftTelemetry{};
 
+  // Exact live counts for the whole sift: every swap keeps them current and
+  // frees the nodes it orphans, so a measurement is an O(1) read and the
+  // swaps walk chains that hold live nodes only.
+  const BddManager::LiveCounts counts(mgr);
+
   auto measure = [&]() -> size_t {
     ++tel.size_evaluations;
     tel.peak_arena = std::max(tel.peak_arena, mgr.arena_size());
-    const size_t live = mgr.live_node_count();
+    const size_t live = counts.live();
     if (options.verify_with_oracle) {
+      // The oracle's scratch rebuild is not governed work.
+      ResourceGovernor::Suspend suspend;
       POLIS_CHECK_MSG(live == mgr.size_under_order(mgr.current_order()),
                       "fast sift size diverged from the rebuild oracle");
     }
     return live;
+  };
+
+  // One adjacent-level swap of the walk. Under the oracle, also checks the
+  // incremental bookkeeping against a full traversal after every swap.
+  auto swap = [&](int level) {
+    tel.swaps += 1;
+    mgr.swap_adjacent_levels(level);
+    if (options.verify_with_oracle) {
+      POLIS_CHECK_MSG(counts.live() == mgr.live_node_count(),
+                      "incremental live count diverged from mark_live");
+      POLIS_CHECK_MSG(mgr.check_canonical_form(),
+                      "level swap broke the canonical form");
+      POLIS_CHECK_MSG(mgr.table_node_count() <= counts.live(),
+                      "level swap left garbage on the unique table");
+    }
   };
 
   size_t current = measure();
@@ -168,16 +188,15 @@ size_t sift(BddManager& mgr,
   POLIS_CHECK_MSG(order_respects(mgr.current_order(), precedence),
                   "initial order violates the precedence constraints");
 
-  // blocks_down[v][w]: v may not move below w; blocks_up[v][u]: v may not
-  // move above u.
-  std::vector<std::vector<char>> blocks_down(
-      static_cast<size_t>(n), std::vector<char>(static_cast<size_t>(n), 0));
-  std::vector<std::vector<char>> blocks_up(
-      static_cast<size_t>(n), std::vector<char>(static_cast<size_t>(n), 0));
-  for (const auto& [above, below] : precedence) {
-    blocks_down[static_cast<size_t>(above)][static_cast<size_t>(below)] = 1;
-    blocks_up[static_cast<size_t>(below)][static_cast<size_t>(above)] = 1;
-  }
+  // blocks[a * n + b]: a must stay above b, so a may not move below b and b
+  // may not move above a.
+  const size_t un = static_cast<size_t>(n);
+  std::vector<bool> blocks(un * un, false);
+  for (const auto& [above, below] : precedence)
+    blocks[static_cast<size_t>(above) * un + static_cast<size_t>(below)] = true;
+  const auto blocked = [&](int above, int below) {
+    return blocks[static_cast<size_t>(above) * un + static_cast<size_t>(below)];
+  };
 
   // Sifting is an anytime optimization: when the ambient governor's
   // deadline, node budget or cancel flag trips, the current candidate still
@@ -196,43 +215,18 @@ size_t sift(BddManager& mgr,
     for (int v : sift_candidates(mgr, options)) {
       OBS_SPAN(var_span, "sift.var", "reorder");
       if (var_span.armed()) var_span.arg("var", v);
-      // Swaps leave orphaned nodes behind, still threaded on the unique
-      // table where later swaps would keep rewriting them; prune once the
-      // garbage dominates the live size, so a swap's cost stays
-      // proportional to the nodes actually on its levels. (The arena itself
-      // barely grows — freed slots are recycled — so table occupancy, not
-      // arena size, is the signal.)
-      if (mgr.table_node_count() > std::max<size_t>(128, 3 * current)) {
-        mgr.prune_dead_nodes();
-        ++tel.garbage_collections;
-      }
-      // Pruning leaves dead slots allocated; compact outright if the arena
-      // has grown far beyond the live size.
-      if (mgr.arena_size() > std::max<size_t>(size_t{1} << 16, 64 * current)) {
-        mgr.garbage_collect();
-        ++tel.garbage_collections;
-      }
 
       const int start = mgr.level_of(v);
       size_t best_size = current;
       int best_level = start;
       int level = start;
-      size_t here = current;  // live size at v's current position
-
-      // A swap that rewrites no nodes cannot change the live size (the two
-      // levels do not interact), so the previous measurement stands.
-      const auto size_after_swap = [&](size_t rewritten) -> size_t {
-        if (rewritten == 0 && !options.verify_with_oracle) return here;
-        return measure();
-      };
 
       // Walk down to the bottom of the legal window, measuring each stop.
       while (!over_budget() && level + 1 < n &&
-             !blocks_down[static_cast<size_t>(v)]
-                         [static_cast<size_t>(mgr.var_at_level(level + 1))]) {
-        tel.swaps += 1;
-        here = size_after_swap(mgr.swap_adjacent_levels(level));
+             !blocked(v, mgr.var_at_level(level + 1))) {
+        swap(level);
         ++level;
+        const size_t here = measure();
         if (here < best_size) {
           best_size = here;
           best_level = level;
@@ -241,11 +235,10 @@ size_t sift(BddManager& mgr,
       // Walk back up to the top of the window. `<=` so that among equal
       // minima the topmost position wins, like the rebuild reference.
       while (!over_budget() && level > 0 &&
-             !blocks_up[static_cast<size_t>(v)]
-                       [static_cast<size_t>(mgr.var_at_level(level - 1))]) {
-        tel.swaps += 1;
-        here = size_after_swap(mgr.swap_adjacent_levels(level - 1));
+             !blocked(mgr.var_at_level(level - 1), v)) {
+        swap(level - 1);
         --level;
+        const size_t here = measure();
         if (here <= best_size) {
           best_size = here;
           best_level = level;
@@ -255,16 +248,8 @@ size_t sift(BddManager& mgr,
       // Settle: move to the best position, or back to the start if nothing
       // strictly improved.
       const int target = best_size < current ? best_level : start;
-      while (level < target) {
-        tel.swaps += 1;
-        mgr.swap_adjacent_levels(level);
-        ++level;
-      }
-      while (level > target) {
-        tel.swaps += 1;
-        mgr.swap_adjacent_levels(level - 1);
-        --level;
-      }
+      for (; level < target; ++level) swap(level);
+      for (; level > target; --level) swap(level - 1);
       if (var_span.armed()) {
         var_span.arg("start_level", start);
         var_span.arg("settled_level", target);

@@ -10,10 +10,13 @@
 // frozen at the position minimising the total live-BDD node count (exactly
 // the sift objective). `sift` walks the variable down and then up through
 // its legal window with in-place adjacent-level swaps
-// (`BddManager::swap_adjacent_levels`), measuring the live size after each
-// swap — no arena rebuilds on the hot path. `sift_by_rebuild` is the
-// original rebuild-per-candidate implementation, kept as a slow reference
-// oracle: both produce identical final orders and sizes.
+// (`BddManager::swap_adjacent_levels`) — no arena rebuilds on the hot path.
+// For the whole sift the manager holds exact per-(node, phase) live counts
+// (`BddManager::LiveCounts`): each swap updates them and frees the nodes it
+// orphans, so the live size after a swap is an O(1) read and the unique
+// table never holds garbage. `sift_by_rebuild` is the original
+// rebuild-per-candidate implementation, kept as a slow reference oracle:
+// both produce identical final orders and sizes.
 #pragma once
 
 #include <cstddef>
@@ -33,10 +36,8 @@ struct SiftTelemetry {
   /// Live node count before / after sifting (terminals excluded).
   size_t initial_size = 0;
   size_t final_size = 0;
-  /// Largest arena (live + garbage nodes) seen while sifting.
+  /// Largest arena (live nodes + free slots) seen while sifting.
   size_t peak_arena = 0;
-  /// Mid-sift garbage collections triggered by arena growth.
-  int garbage_collections = 0;
   /// Passes actually executed (≤ SiftOptions::passes; stops when a pass
   /// yields no improvement).
   int passes_run = 0;
@@ -57,7 +58,9 @@ struct SiftOptions {
   /// pass (CUDD-style economy); 0 sifts all.
   int max_vars = 0;
   /// Cross-check every fast-path size measurement against the
-  /// `size_under_order` rebuild oracle (slow; meant for tests).
+  /// `size_under_order` rebuild oracle, and after every swap check the
+  /// incremental live count against `live_node_count()`, the canonical form
+  /// and a garbage-free unique table (slow; meant for tests).
   bool verify_with_oracle = false;
   /// Optional sink for sift telemetry.
   SiftTelemetry* telemetry = nullptr;

@@ -1,14 +1,30 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <set>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "bdd/bdd.hpp"
 #include "bdd/reorder.hpp"
 #include "util/check.hpp"
+#include "util/governor.hpp"
 #include "util/rng.hpp"
 
 namespace polis::bdd {
+
+// Lowers the manager's arena cap so the level swap's cap check can trip
+// without allocating 2^27 nodes.
+struct BddManagerTestPeer {
+  static void set_max_arena_nodes(BddManager& mgr, size_t cap) {
+    mgr.max_arena_nodes_ = cap;
+  }
+  static void reset_max_arena_nodes(BddManager& mgr) {
+    mgr.max_arena_nodes_ = BddManager::kMaxArenaNodes;
+  }
+};
+
 namespace {
 
 TEST(Reorder, OrderRespectsPrecedence) {
@@ -269,6 +285,246 @@ TEST_P(SiftProperty, PreservesSemanticsAndRespectsPrecedence) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SiftProperty, ::testing::Range(0, 12));
+
+// --- Sift-scoped live counts: aliased/complemented roots, early stops and a
+// --- swap that throws must all leave a count-free, canonical manager whose
+// --- later operations (and a second sift) still compute the right functions.
+
+constexpr int kForestVars = 8;
+using Table = std::vector<bool>;
+
+Table table_of(BddManager& mgr, const Bdd& f) {
+  Table t(size_t{1} << kForestVars);
+  for (size_t m = 0; m < t.size(); ++m)
+    t[m] = mgr.eval(f, [m](int v) { return (m >> v) & 1; });
+  return t;
+}
+
+// Random functions rooted through several handles each: copies of f and of
+// ¬f, so the counts see aliased roots in both phases, plus handles on
+// subfunctions that other roots also reach.
+struct Forest {
+  explicit Forest(std::uint64_t seed) : mgr(kForestVars) {
+    Rng rng(seed);
+    std::vector<Bdd> funcs;
+    for (int fi = 0; fi < 3; ++fi) {
+      Bdd f = mgr.zero();
+      for (int t = 0; t < 4; ++t) {
+        Bdd cube = mgr.one();
+        for (int v = 0; v < kForestVars; ++v) {
+          const auto c = rng.uniform(0, 3);
+          if (c == 0) cube = cube & mgr.var(v);
+          if (c == 1) cube = cube & mgr.nvar(v);
+        }
+        f = f ^ cube;
+      }
+      funcs.push_back(f);
+    }
+    for (const Bdd& f : funcs) {
+      roots.push_back(f);
+      roots.push_back(f);
+      roots.push_back(!f);
+      roots.push_back(!f);
+    }
+    for (const Bdd& f : funcs) {
+      if (f.is_constant()) continue;
+      roots.push_back(f.low());
+      roots.push_back(!f.high());
+    }
+    for (const Bdd& r : roots) tables.push_back(table_of(mgr, r));
+    // Warm the computed cache, so `expect_healthy` recomputes against
+    // whatever a sift leaves in it.
+    combine();
+  }
+
+  // AND and ITE over the roots, checked against the truth tables.
+  void combine() {
+    const size_t k = roots.size();
+    for (size_t i = 0; i < k; ++i) {
+      const Bdd& f = roots[i];
+      const Bdd& g = roots[(i + 1) % k];
+      const Bdd& h = roots[(i + 5) % k];
+      const Table got_and = table_of(mgr, f & g);
+      const Table got_ite = table_of(mgr, mgr.ite(f, g, h));
+      for (size_t m = 0; m < got_and.size(); ++m) {
+        ASSERT_EQ(got_and[m], tables[i][m] && tables[(i + 1) % k][m]);
+        ASSERT_EQ(got_ite[m], tables[i][m] ? tables[(i + 1) % k][m]
+                                           : tables[(i + 5) % k][m]);
+      }
+    }
+  }
+
+  void expect_healthy() {
+    EXPECT_FALSE(mgr.has_live_counts());
+    EXPECT_TRUE(mgr.check_canonical_form());
+    for (size_t i = 0; i < roots.size(); ++i)
+      ASSERT_EQ(table_of(mgr, roots[i]), tables[i]) << "root " << i;
+    combine();
+  }
+
+  BddManager mgr;
+  std::vector<Bdd> roots;
+  std::vector<Table> tables;
+};
+
+TEST(SiftLiveCounts, AliasedAndComplementedRoots) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    Forest forest(seed);
+    BddManager& mgr = forest.mgr;
+    SiftOptions options;
+    options.passes = 2;
+    options.verify_with_oracle = true;
+    const size_t first = sift(mgr, options);
+    EXPECT_EQ(first, mgr.live_node_count());
+    EXPECT_EQ(first, mgr.size_under_order(mgr.current_order()));
+    forest.expect_healthy();
+
+    // Drop every other handle: one alias of each phase of f, and some of
+    // the subfunction roots.
+    for (size_t i = 0; i < forest.roots.size(); i += 2)
+      forest.roots[i] = mgr.one();
+    const size_t second = sift(mgr, options);
+    EXPECT_EQ(second, mgr.live_node_count());
+    EXPECT_LE(second, first);
+    for (size_t i = 0; i < forest.roots.size(); i += 2)
+      forest.tables[i] = table_of(mgr, forest.roots[i]);
+    forest.expect_healthy();
+  }
+}
+
+// Every internal subfunction reachable from `roots`, one handle each.
+std::vector<Bdd> subfunctions(const std::vector<Bdd>& roots) {
+  std::vector<Bdd> out;
+  std::vector<Bdd> stack(roots.begin(), roots.end());
+  std::set<std::uint32_t> seen;
+  while (!stack.empty()) {
+    const Bdd f = stack.back();
+    stack.pop_back();
+    if (f.is_constant() || !seen.insert(f.raw_index()).second) continue;
+    out.push_back(f);
+    stack.push_back(f.high());
+    stack.push_back(f.low());
+  }
+  return out;
+}
+
+TEST(SiftLiveCounts, FreedSlotsLeaveNoStaleCacheEntries) {
+  // With no garbage at sift entry the opening prune keeps the computed
+  // cache, so the entries naming slots that the swaps free and recycle must
+  // go when the sift ends. Cache an AND of every subfunction with every
+  // function first (keeping the results, so nothing is garbage), then redo
+  // them over the reordered forest.
+  Forest forest(31);
+  BddManager& mgr = forest.mgr;
+  mgr.garbage_collect();
+  std::vector<Bdd> keep;
+  for (const Bdd& s : subfunctions(forest.roots))
+    for (size_t i = 0; i < forest.roots.size(); i += 2)
+      keep.push_back(s & forest.roots[i]);
+  ASSERT_EQ(mgr.prune_dead_nodes(), 0u);
+
+  const KernelStats before = mgr.stats();
+  SiftOptions options;
+  options.verify_with_oracle = true;
+  sift(mgr, options);
+  ASSERT_GT(mgr.stats().nodes_reclaimed, before.nodes_reclaimed);
+
+  for (const Bdd& s : subfunctions(forest.roots)) {
+    const Table ts = table_of(mgr, s);
+    for (size_t i = 0; i < forest.roots.size(); i += 2) {
+      const Table got = table_of(mgr, s & forest.roots[i]);
+      for (size_t m = 0; m < got.size(); ++m)
+        ASSERT_EQ(got[m], ts[m] && forest.tables[i][m]) << "minterm " << m;
+    }
+  }
+  forest.expect_healthy();
+}
+
+// A second, ungoverned sift on the same manager must still work.
+void expect_second_sift_works(Forest& forest) {
+  SiftOptions options;
+  options.verify_with_oracle = true;
+  const size_t after = sift(forest.mgr, options);
+  EXPECT_EQ(after, forest.mgr.live_node_count());
+  forest.expect_healthy();
+}
+
+SiftTelemetry sift_under(Forest& forest, ResourceGovernor& gov) {
+  SiftTelemetry tel;
+  ResourceGovernor::Scope scope(&gov);
+  SiftOptions options;
+  options.passes = 2;
+  options.telemetry = &tel;
+  options.verify_with_oracle = true;
+  const size_t after = sift(forest.mgr, options);
+  EXPECT_EQ(after, forest.mgr.live_node_count());
+  return tel;
+}
+
+TEST(SiftLiveCounts, StoppedEarlyByCancel) {
+  Forest forest(11);
+  CancellationToken token;
+  token.request_cancel();
+  ResourceGovernor gov(GovernorLimits{}, token);
+  EXPECT_TRUE(sift_under(forest, gov).stopped_early);
+  forest.expect_healthy();
+  expect_second_sift_works(forest);
+}
+
+TEST(SiftLiveCounts, StoppedEarlyByDeadline) {
+  Forest forest(12);
+  GovernorLimits limits;
+  limits.deadline_ms = 1;
+  ResourceGovernor gov(limits);
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  EXPECT_TRUE(sift_under(forest, gov).stopped_early);
+  forest.expect_healthy();
+  expect_second_sift_works(forest);
+}
+
+TEST(SiftLiveCounts, StoppedMidWalkByNodeBudget) {
+  // The forest is built outside the governor and compacted, so the first
+  // nodes the swaps allocate are charged: the budget trips partway through
+  // the walk.
+  Forest forest(13);
+  forest.mgr.garbage_collect();
+  GovernorLimits limits;
+  limits.max_nodes = 1;
+  ResourceGovernor gov(limits);
+  const SiftTelemetry tel = sift_under(forest, gov);
+  EXPECT_TRUE(tel.stopped_early);
+  EXPECT_GT(tel.swaps, 0u);
+  forest.expect_healthy();
+  expect_second_sift_works(forest);
+}
+
+TEST(SiftLiveCounts, SwapThrowsAtArenaCap) {
+  // Sweep the cap upwards from the current arena size: small caps trip on
+  // the first swap, larger ones partway through the sift. Every outcome
+  // must leave a healthy manager.
+  int mid_sift_throws = 0;
+  for (size_t slack = 0; slack <= 64; slack += 2) {
+    Forest forest(21);
+    BddManager& mgr = forest.mgr;
+    mgr.prune_dead_nodes();
+    BddManagerTestPeer::set_max_arena_nodes(mgr, mgr.arena_size() + slack);
+    SiftTelemetry tel;
+    SiftOptions options;
+    options.passes = 2;
+    options.telemetry = &tel;
+    options.verify_with_oracle = true;
+    try {
+      sift(mgr, options);
+    } catch (const BudgetExceeded& e) {
+      EXPECT_EQ(e.kind(), BudgetExceeded::Kind::kNodes);
+      if (tel.swaps > 1) ++mid_sift_throws;
+    }
+    BddManagerTestPeer::reset_max_arena_nodes(mgr);
+    forest.expect_healthy();
+    expect_second_sift_works(forest);
+  }
+  EXPECT_GT(mid_sift_throws, 0);
+}
 
 }  // namespace
 }  // namespace polis::bdd
