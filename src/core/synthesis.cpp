@@ -23,42 +23,28 @@ SynthesisResult synthesize(std::shared_ptr<const cfsm::Cfsm> machine,
   if (span.armed()) span.arg("machine", machine->name());
 
   SynthesisResult result;
-  const bool degrade = options.on_budget == OnBudget::kDegrade ||
-                       options.build.degrade_on_budget;
-  ResourceGovernor* const gov = ResourceGovernor::current();
-  const auto note = [&](const char* what) {
-    if (gov != nullptr) gov->note_degradation(what);
-    result.degradations.emplace_back(what);
-  };
-  sgraph::BuildOptions build_options = options.build;
-  build_options.degrade_on_budget = degrade;
-
   result.machine = machine;
-  result.manager = std::make_shared<bdd::BddManager>();
   {
     OBS_SPAN(stage, "cfsm.reactive_function", "pipeline");
-    try {
-      result.reactive =
-          std::make_shared<cfsm::ReactiveFunction>(*machine, *result.manager);
-    } catch (const BudgetExceeded&) {
-      // χ is not optional; in degrade mode rebuild it ungoverned in a fresh
-      // manager (the half-built one refunds its charges on destruction).
-      if (!degrade) throw;
-      note("characteristic function over budget; ungoverned rebuild");
-      ResourceGovernor::Suspend suspend;
+    // χ is not optional; in degrade mode rebuild it ungoverned in a fresh
+    // manager (the half-built one refunds its charges on destruction).
+    static constexpr const char* kChiRung =
+        "characteristic function over budget; ungoverned rebuild";
+    ResourceGovernor::retry_ungoverned(kChiRung, [&](bool retry) {
+      if (retry) result.degradations.emplace_back(kChiRung);
       result.manager = std::make_shared<bdd::BddManager>();
       result.reactive =
           std::make_shared<cfsm::ReactiveFunction>(*machine, *result.manager);
-    }
+    });
   }
   result.graph = std::make_shared<sgraph::Sgraph>(
-      sgraph::build_sgraph(*result.reactive, options.scheme, build_options));
+      sgraph::build_sgraph(*result.reactive, options.scheme, options.build));
   {
     // Once an s-graph exists, compile and codegen always complete: in
     // degrade mode they run with the governor suspended so an already-blown
     // deadline cannot interrupt the final (cheap, BDD-free) stages.
     std::optional<ResourceGovernor::Suspend> grace;
-    if (degrade) grace.emplace();
+    if (ResourceGovernor::degrading()) grace.emplace();
     {
       OBS_SPAN(stage, "vm.compile", "pipeline");
       vm::CompileOptions compile_options;
@@ -90,10 +76,12 @@ SynthesisResult synthesize(std::shared_ptr<const cfsm::Cfsm> machine,
     } catch (const BudgetExceeded&) {
       // The estimate is advisory (schedulability inputs); the ladder drops
       // it rather than the synthesized code.
-      if (!degrade) throw;
+      static constexpr const char* kEstimateRung =
+          "estimator skipped on budget";
+      ResourceGovernor::degrade_or_rethrow(kEstimateRung);
+      result.degradations.emplace_back(kEstimateRung);
       result.estimate_skipped = true;
       result.estimate = {};
-      note("estimator skipped on budget");
     }
   }
 
@@ -126,17 +114,9 @@ NetworkSynthesis synthesize_network(const cfsm::Network& network,
     // The model feeds every machine's estimate, so in degrade mode a budget
     // trip here recalibrates ungoverned (small, deterministic) rather than
     // aborting the whole fan-out.
-    try {
-      local_model = estim::calibrate(shared.target);
-    } catch (const BudgetExceeded&) {
-      if (options.on_budget != OnBudget::kDegrade &&
-          !options.build.degrade_on_budget)
-        throw;
-      if (ResourceGovernor* gov = ResourceGovernor::current())
-        gov->note_degradation("calibration over budget; ungoverned rerun");
-      ResourceGovernor::Suspend suspend;
-      local_model = estim::calibrate(shared.target);
-    }
+    local_model = ResourceGovernor::retry_ungoverned(
+        "calibration over budget; ungoverned rerun",
+        [&](bool) { return estim::calibrate(shared.target); });
     shared.cost_model = &local_model;
   }
 

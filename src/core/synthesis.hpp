@@ -45,12 +45,6 @@ struct SynthesisOptions {
   /// machines without an entry keep the shared `build.care_filter` (usually
   /// none). Filters must be thread-safe — they run on the worker threads.
   std::map<std::string, cfsm::CareFilter> care_filter_by_machine;
-  /// Reaction to an ambient ResourceGovernor budget trip. kFail unwinds the
-  /// run with the recoverable error; kDegrade walks the ladder: the χ/s-graph
-  /// stages retry ungoverned after GC, the estimator is skipped, and compile/
-  /// codegen always complete from whatever order is current. Cancellation
-  /// always propagates. Implies `build.degrade_on_budget`.
-  OnBudget on_budget = OnBudget::kFail;
 };
 
 struct SynthesisResult {

@@ -227,37 +227,4 @@ void trace_instant(std::string name, const char* cat) {
   recorder.record(std::move(e));
 }
 
-void trace_complete_at(int pid, std::uint32_t tid, std::string name,
-                       const char* cat, std::int64_t ts, std::int64_t dur,
-                       std::vector<TraceArg> args) {
-  TraceRecorder& recorder = TraceRecorder::global();
-  if (!recorder.enabled()) return;
-  TraceEvent e;
-  e.name = std::move(name);
-  e.cat = cat;
-  e.ph = 'X';
-  e.ts = ts;
-  e.dur = dur;
-  e.pid = pid;
-  e.tid = tid;
-  e.args = std::move(args);
-  recorder.record(std::move(e));
-}
-
-void trace_instant_at(int pid, std::uint32_t tid, std::string name,
-                      const char* cat, std::int64_t ts,
-                      std::vector<TraceArg> args) {
-  TraceRecorder& recorder = TraceRecorder::global();
-  if (!recorder.enabled()) return;
-  TraceEvent e;
-  e.name = std::move(name);
-  e.cat = cat;
-  e.ph = 'i';
-  e.ts = ts;
-  e.pid = pid;
-  e.tid = tid;
-  e.args = std::move(args);
-  recorder.record(std::move(e));
-}
-
 }  // namespace polis::obs

@@ -176,17 +176,6 @@ struct NullSpan {
 /// Records an instant event on the calling thread's wall-clock lane.
 void trace_instant(std::string name, const char* cat = "pipeline");
 
-/// Records a complete event with an explicit timebase — how the RTOS
-/// simulator's log lands on the simulated-cycle lanes (pid kPidSim).
-void trace_complete_at(int pid, std::uint32_t tid, std::string name,
-                       const char* cat, std::int64_t ts, std::int64_t dur,
-                       std::vector<TraceArg> args = {});
-
-/// Instant sibling of `trace_complete_at`.
-void trace_instant_at(int pid, std::uint32_t tid, std::string name,
-                      const char* cat, std::int64_t ts,
-                      std::vector<TraceArg> args = {});
-
 }  // namespace polis::obs
 
 // OBS_SPAN(var, "name"[, "category"]) declares a named RAII span `var` in the

@@ -252,9 +252,8 @@ bdd::Bdd restricted_chi(cfsm::ReactiveFunction& rf,
     }
   } catch (const BudgetExceeded&) {
     // The restriction is an optimisation: dropping it only costs code size.
-    if (!options.degrade_on_budget) throw;
-    if (ResourceGovernor* gov = ResourceGovernor::current())
-      gov->note_degradation("care-set restriction over budget; raw chi");
+    ResourceGovernor::degrade_or_rethrow(
+        "care-set restriction over budget; raw chi");
   }
   return chi;
 }
@@ -265,17 +264,12 @@ bdd::Bdd restricted_chi(cfsm::ReactiveFunction& rf,
 /// build is guaranteed to complete. Deterministic for node/byte budgets: the
 /// retry starts from the same χ and order. Cancelled is not caught.
 template <typename Fn>
-Sgraph build_degradable(bdd::BddManager& mgr, bool degrade, Fn&& fn) {
-  if (!degrade) return fn();
-  try {
-    return fn();
-  } catch (const BudgetExceeded&) {
-    if (ResourceGovernor* gov = ResourceGovernor::current())
-      gov->note_degradation("s-graph build over budget; ungoverned retry");
-    ResourceGovernor::Suspend suspend;
-    mgr.garbage_collect();
-    return fn();
-  }
+Sgraph build_degradable(bdd::BddManager& mgr, Fn&& fn) {
+  return ResourceGovernor::retry_ungoverned(
+      "s-graph build over budget; ungoverned retry", [&](bool retry) {
+        if (retry) mgr.garbage_collect();
+        return fn();
+      });
 }
 
 }  // namespace
@@ -292,7 +286,7 @@ Sgraph build_sgraph_with_order(cfsm::ReactiveFunction& rf,
                     "variable " << v << " is not part of this CFSM");
     POLIS_CHECK_MSG(seen.insert(v).second, "duplicate variable " << v);
   }
-  return build_degradable(rf.manager(), options.degrade_on_budget, [&] {
+  return build_degradable(rf.manager(), [&] {
     const bdd::Bdd chi = restricted_chi(rf, options);
     Builder builder(rf, order);
     return builder.run(chi);
@@ -318,12 +312,11 @@ Sgraph build_sgraph(cfsm::ReactiveFunction& rf, OrderingScheme scheme,
   std::vector<int> order;
 
   if (scheme == OrderingScheme::kFreeOrder) {
-    Sgraph graph =
-        build_degradable(mgr, options.degrade_on_budget, [&] {
-          const bdd::Bdd chi = restricted_chi(rf, options);
-          FreeOrderBuilder builder(rf);
-          return builder.run(chi);
-        });
+    Sgraph graph = build_degradable(mgr, [&] {
+      const bdd::Bdd chi = restricted_chi(rf, options);
+      FreeOrderBuilder builder(rf);
+      return builder.run(chi);
+    });
     publish(graph);
     return graph;
   }
@@ -377,9 +370,8 @@ Sgraph build_sgraph(cfsm::ReactiveFunction& rf, OrderingScheme scheme,
         sift_options.telemetry = options.sift_telemetry;
         bdd::sift(mgr, precedence, sift_options);
       } catch (const BudgetExceeded&) {
-        if (!options.degrade_on_budget) throw;
-        if (ResourceGovernor* gov = ResourceGovernor::current())
-          gov->note_degradation("sift ordering over budget; current order kept");
+        ResourceGovernor::degrade_or_rethrow(
+            "sift ordering over budget; current order kept");
       }
       order = mgr.current_order();
       break;

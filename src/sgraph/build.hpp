@@ -65,14 +65,6 @@ struct BuildOptions {
   /// Optional sink for sift telemetry (swaps, peak arena, per-pass sizes);
   /// filled only by the sift-based schemes.
   bdd::SiftTelemetry* sift_telemetry = nullptr;
-  /// Degrade instead of failing when the ambient ResourceGovernor trips
-  /// during construction: the care-set restriction falls back to the raw
-  /// characteristic function, and a budget hit mid-build garbage-collects
-  /// and retries once with the governor suspended, so the build always
-  /// completes (from whatever variable order is current). Cancellation
-  /// still propagates — it is a request to stop, not to degrade. When
-  /// false, governor errors propagate.
-  bool degrade_on_budget = false;
 };
 
 /// Builds the s-graph for `rf` under `scheme`. Sift-based schemes reorder

@@ -4,6 +4,7 @@
 
 #include "obs/metrics.hpp"
 #include "obs/series.hpp"
+#include "obs/trace.hpp"
 
 namespace polis {
 
@@ -170,7 +171,11 @@ void ResourceGovernor::note_degradation(const char* what) {
   static const obs::MetricsRegistry::Id id =
       reg.counter("governor.degradations");
   reg.add(id, 1);
+#ifndef POLIS_OBS_DISABLED
+  obs::trace_instant(what, "governor");
+#else
   (void)what;
+#endif
 }
 
 void ResourceGovernor::flush_stats_to_obs() const {

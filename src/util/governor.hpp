@@ -3,12 +3,16 @@
 //
 // The compiler's hot loops (BDD apply/ITE, sifting, the verification
 // fixpoint, s-graph construction, RTOS simulation) are all potentially
-// exponential in the input; a long-lived service (`polisd`, ROADMAP item 1)
-// cannot afford any of them to run unbounded or to die on a resource
-// blow-up. The governor provides:
+// exponential in the input; a caller embedding the pipeline (polisc, a test,
+// a long-lived service) cannot afford any of them to run unbounded or to die
+// on a resource blow-up. The governor provides:
 //
 //   - a wall-clock deadline, a live-BDD-node budget and an arena-bytes cap
 //     (`GovernorLimits`), plus a cooperative `CancellationToken`;
+//   - the one budget policy (`GovernorLimits::on_budget`): fail, or walk the
+//     degradation ladder. Every rung asks the ambient governor through
+//     `degrading()`, `degrade_or_rethrow()` and `retry_ungoverned()`; no
+//     pipeline option repeats the choice;
 //   - an ambient, thread-local instance (`ResourceGovernor::current()`)
 //     installed with a `Scope` RAII guard, so deep kernel code need not
 //     thread a pointer through every signature;
@@ -90,7 +94,7 @@ class Cancelled : public RecoverableError {
 // --- Exit codes -------------------------------------------------------------
 
 /// Process exit codes `polisc` maps the taxonomy to. Stable contract for
-/// scripts and the future polisd supervisor.
+/// scripts and supervisors.
 enum ExitCode : int {
   kExitOk = 0,
   kExitError = 1,     ///< generic / uncategorized failure
@@ -138,6 +142,12 @@ struct AllocFaultPlan {
 
 // --- Limits -----------------------------------------------------------------
 
+/// What to do when a budget trips mid-pipeline.
+enum class OnBudget {
+  kFail,    ///< unwind the whole run with BudgetExceeded (exit code 4)
+  kDegrade, ///< walk the degradation ladder; always produce correct output
+};
+
 struct GovernorLimits {
   /// Wall-clock budget in milliseconds; 0 = unlimited.
   int64_t deadline_ms = 0;
@@ -146,19 +156,21 @@ struct GovernorLimits {
   uint64_t max_nodes = 0;
   /// Max arena bytes charged to this governor; 0 = unlimited.
   uint64_t max_arena_bytes = 0;
+  /// The budget policy of every pipeline stage run under this governor.
+  /// kFail unwinds the run with the recoverable error. kDegrade walks the
+  /// ladder: χ, calibration and the s-graph build retry ungoverned, the care
+  /// set and the sift are dropped, the estimator is skipped, verification
+  /// widens or reports kUnknown, and compile/codegen always complete. With
+  /// no budget set, kDegrade still degrades on a real allocation failure.
+  OnBudget on_budget = OnBudget::kFail;
 
+  /// True if any budget is set (the policy alone is not a budget).
   bool any() const {
     return deadline_ms > 0 || max_nodes > 0 || max_arena_bytes > 0;
   }
 };
 
 // --- Governor ---------------------------------------------------------------
-
-/// What to do when a budget trips mid-pipeline.
-enum class OnBudget {
-  kFail,    ///< unwind the whole run with BudgetExceeded (exit code 4)
-  kDegrade, ///< walk the degradation ladder; always produce correct output
-};
 
 class ResourceGovernor {
  public:
@@ -258,14 +270,47 @@ class ResourceGovernor {
     return deadline_expired() || cancel_requested() || nodes_over_budget();
   }
 
+  // --- Budget policy (the degradation ladder) ------------------------------
+
+  /// True when an ambient governor is installed and its policy is kDegrade.
+  static bool degrading() {
+    const ResourceGovernor* g = tls_current_;
+    return g != nullptr && g->limits_.on_budget == OnBudget::kDegrade;
+  }
+
+  /// One ladder rung; call only inside a catch handler. When degrading,
+  /// notes `what` on the ambient governor and returns so the caller can
+  /// degrade; otherwise rethrows the exception being handled.
+  static void degrade_or_rethrow(const char* what) {
+    if (!degrading()) throw;
+    tls_current_->note_degradation(what);
+  }
+
+  /// The "retry once ungoverned" rung: runs `attempt(false)`; when it throws
+  /// BudgetExceeded while degrading, notes `what` and runs `attempt(true)`
+  /// with the governor suspended, so the retry always completes. The flag
+  /// tells the attempt it is the retry (for per-site preparation such as a
+  /// GC). Cancelled and fail-mode trips propagate.
+  template <typename Attempt>
+  static auto retry_ungoverned(const char* what, Attempt&& attempt) {
+    try {
+      return attempt(false);
+    } catch (const BudgetExceeded&) {
+      degrade_or_rethrow(what);
+    }
+    Suspend suspend;
+    return attempt(true);
+  }
+
   // --- Configuration / bookkeeping -----------------------------------------
 
   const GovernorLimits& limits() const { return limits_; }
   void set_alloc_fault_plan(const AllocFaultPlan& plan);
   const CancellationToken& token() const { return token_; }
 
-  /// Record a degradation event (e.g. "sift stopped at deadline"); counted
-  /// into obs metrics and surfaced by polisc.
+  /// Record a degradation event (e.g. "sift stopped at deadline"): counted
+  /// into the governor.degradations metric and recorded as a "governor"
+  /// instant in the wall-clock trace (`polisc --trace`).
   void note_degradation(const char* what);
 
   uint64_t polls() const { return polls_.load(std::memory_order_relaxed); }

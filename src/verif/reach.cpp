@@ -89,6 +89,9 @@ ReachResult reachable_states(const TransitionSystem& tr,
 
   OBS_SPAN(span, "verif.reach", "verif");
 
+  ResourceGovernor* const gov = ResourceGovernor::current();
+  const bool degrade = ResourceGovernor::degrading();
+
   ReachResult result;
   {
     // The initial set is tiny but its kernel ops still hit the amortized
@@ -96,7 +99,7 @@ ReachResult reachable_states(const TransitionSystem& tr,
     // must reach the loop head (which stops honestly) instead of throwing
     // from setup.
     std::optional<ResourceGovernor::Suspend> setup_guard;
-    if (options.degrade_on_budget) setup_guard.emplace();
+    if (degrade) setup_guard.emplace();
     result.reached = enc.initial_set();
   }
   bdd::Bdd frontier = result.reached;
@@ -108,13 +111,12 @@ ReachResult reachable_states(const TransitionSystem& tr,
   // merged image is the same canonical BDD the serial path computes, so
   // everything downstream — layers, verdicts, counterexamples — is
   // bit-identical at every thread count.
-  // Degradation ladder: in `degrade_on_budget` mode a governor node/byte/
-  // allocation trip mid-image falls back to the same widening the static
-  // node_budget uses (the set only grows, so an empty bad-intersection still
-  // proves safety); a deadline or cancellation ends the run honestly
-  // non-converged (the reached set UNDERapproximates — `converged` gates
-  // every kProved downstream). Without the flag governor errors propagate.
-  ResourceGovernor* const gov = ResourceGovernor::current();
+  // Degradation ladder: in degrade mode a governor node/byte/allocation
+  // trip mid-image falls back to the same widening the static node_budget
+  // uses (the set only grows, so an empty bad-intersection still proves
+  // safety); a deadline or cancellation ends the run honestly non-converged
+  // (the reached set UNDERapproximates — `converged` gates every kProved
+  // downstream). In fail mode governor errors propagate.
 
   const int threads =
       options.num_threads == 0
@@ -130,9 +132,8 @@ ReachResult reachable_states(const TransitionSystem& tr,
     try {
       par = std::make_unique<ParallelImage>(tr, threads);
     } catch (const RecoverableError&) {
-      if (!options.degrade_on_budget) throw;
-      if (gov != nullptr)
-        gov->note_degradation("parallel image setup over budget; serial");
+      ResourceGovernor::degrade_or_rethrow(
+          "parallel image setup over budget; serial");
     }
   }
   const auto step_image = [&](const bdd::Bdd& from) {
@@ -151,7 +152,7 @@ ReachResult reachable_states(const TransitionSystem& tr,
       break;
     }
     if (gov != nullptr) {
-      if (!options.degrade_on_budget) {
+      if (!degrade) {
         gov->poll();  // fail mode: throws past deadline / on cancel
       } else if (gov->deadline_expired() || gov->cancel_requested()) {
         gov->note_degradation("verif fixpoint stopped at deadline/cancel");
@@ -174,26 +175,23 @@ ReachResult reachable_states(const TransitionSystem& tr,
       frontier = img & !result.reached;
       result.reached = result.reached | frontier;
     } catch (const Cancelled&) {
-      if (!options.degrade_on_budget) throw;
-      if (gov != nullptr)
-        gov->note_degradation("verif fixpoint cancelled mid-image");
+      ResourceGovernor::degrade_or_rethrow(
+          "verif fixpoint cancelled mid-image");
       stop_unconverged();
       break;
     } catch (const BudgetExceeded& e) {
-      if (!options.degrade_on_budget) throw;
       if (e.kind() == BudgetExceeded::Kind::kDeadline) {
-        if (gov != nullptr)
-          gov->note_degradation("verif fixpoint stopped at deadline");
+        ResourceGovernor::degrade_or_rethrow(
+            "verif fixpoint stopped at deadline");
         stop_unconverged();
         break;
       }
       // Node/byte/allocation pressure: widen under governor suspension
       // (the recovery itself must not re-trip), reclaim memory, restart
       // the frontier from the enlarged set.
+      ResourceGovernor::degrade_or_rethrow("verif image over budget; widening");
       ResourceGovernor::Suspend suspend;
       ++result.stats.budget_recoveries;
-      if (gov != nullptr)
-        gov->note_degradation("verif image over budget; widening");
       const bdd::Bdd widened = widen(enc, result.reached);
       if (widened == result.reached) {
         // Nothing left to smooth: the abstraction cannot get coarser, so
@@ -277,7 +275,7 @@ ReachResult reachable_states(const TransitionSystem& tr,
     // deadline/cancel trip — the partial result is the whole point of
     // degrading (same rationale as the setup guard above).
     std::optional<ResourceGovernor::Suspend> teardown_guard;
-    if (options.degrade_on_budget) teardown_guard.emplace();
+    if (degrade) teardown_guard.emplace();
     result.stats.reached_nodes = mgr.node_count(result.reached);
     result.stats.reached_states =
         mgr.sat_count(result.reached, enc.num_present_vars());

@@ -3,6 +3,12 @@
 // telemetry, in-fixpoint garbage collection, and a node budget that degrades
 // gracefully to an overapproximation (existentially smoothing the fattest
 // state bits) instead of failing.
+//
+// Under an ambient ResourceGovernor whose policy is kDegrade, a governor
+// node/byte/allocation trip mid-fixpoint also falls back to widening, and a
+// deadline or cancellation stops the iteration with `converged == false`
+// (underapproximation — verdicts become kUnknown). Under kFail, governor
+// errors propagate and fail the run.
 #pragma once
 
 #include <cstddef>
@@ -36,13 +42,6 @@ struct ReachOptions {
   int max_iterations = 0;
   /// Keep the BFS onion layers (needed for counterexample extraction).
   bool keep_layers = true;
-  /// Degrade instead of failing when the ambient ResourceGovernor trips
-  /// mid-fixpoint: a node/byte/allocation budget hit falls back to widening
-  /// (overapproximation, like `node_budget`); a deadline or cancellation
-  /// stops the iteration with `converged == false` (underapproximation —
-  /// verdicts become kUnknown). When false, governor errors propagate and
-  /// fail the run.
-  bool degrade_on_budget = false;
 };
 
 struct ReachStats {

@@ -51,9 +51,8 @@ VerifyResult verify_network(const cfsm::Network& network,
     // The fixpoint degrades internally; a budget blown while *encoding* the
     // network or checking properties cannot. Under degrade mode that still
     // must not fail the run: report every property honestly unknown.
-    if (!options.reach.degrade_on_budget) throw;
-    if (ResourceGovernor* gov = ResourceGovernor::current())
-      gov->note_degradation("verification abandoned on budget; unknown");
+    ResourceGovernor::degrade_or_rethrow(
+        "verification abandoned on budget; unknown");
     VerifyResult fallback;
     fallback.reach.exact = false;
     fallback.reach.converged = false;

@@ -6,6 +6,9 @@
 //     node/byte trips depend only on the operation sequence, two runs under
 //     the same tiny budget must produce byte-identical degraded output.
 //   * Under --on-budget=fail the same trip surfaces as BudgetExceeded.
+//   * The policy is the ambient governor's (GovernorLimits::on_budget), so
+//     verification and synthesis under one governor degrade — or fail —
+//     together.
 //
 // Eight golden configurations: the five example networks plus scheme /
 // care-set / copy-in option variants. Everything runs serially
@@ -18,6 +21,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "core/synthesis.hpp"
 #include "frontend/parser.hpp"
@@ -75,7 +79,9 @@ Output run_config(const Config& c, const GovernorLimits* limits,
   std::optional<ResourceGovernor> gov;
   std::optional<ResourceGovernor::Scope> scope;
   if (limits != nullptr) {
-    gov.emplace(*limits);
+    GovernorLimits governed = *limits;
+    governed.on_budget = mode;
+    gov.emplace(governed);
     scope.emplace(&*gov);
   }
 
@@ -83,7 +89,6 @@ Output run_config(const Config& c, const GovernorLimits* limits,
   options.scheme = c.scheme;
   options.build.use_care_set = c.care;
   options.optimize_copy_in = c.copyin;
-  options.on_budget = mode;
   options.num_threads = 1;
   const NetworkSynthesis synth = synthesize_network(net, options);
 
@@ -163,18 +168,80 @@ TEST(Degradation, VerificationDegradesToUnknownNotWrong) {
 
   GovernorLimits tiny;
   tiny.max_nodes = 200;
+  tiny.on_budget = OnBudget::kDegrade;
   ResourceGovernor gov(tiny);
   ResourceGovernor::Scope scope(&gov);
 
-  verif::VerifyOptions options;
-  options.reach.degrade_on_budget = true;
-  const verif::VerifyResult v = verif::verify_network(net, options);
+  const verif::VerifyResult v = verif::verify_network(net);
   if (!v.reach.converged) {
     for (const verif::CheckResult& r : v.assertions)
       EXPECT_NE(r.verdict, verif::Verdict::kProved) << r.property.name;
     EXPECT_TRUE(v.care_filters.empty());
   }
   SUCCEED();
+}
+
+// polisc's `--verify --care` order under one governor: verification first,
+// then synthesis with the care filters it extracted (none unless the reached
+// set is exact). `stage` records how far the run got.
+NetworkSynthesis verify_then_synthesize(const cfsm::Network& net,
+                                        verif::VerifyResult* verified,
+                                        int* stage) {
+  *stage = 1;
+  *verified = verif::verify_network(net);
+  *stage = 2;
+  SynthesisOptions options;
+  options.build.use_care_set = true;
+  options.care_filter_by_machine = verified->care_filters;
+  options.num_threads = 1;
+  return synthesize_network(net, options);
+}
+
+TEST(Degradation, VerifyThenCareSynthesisFollowsOnePolicy) {
+  const std::pair<const char*, const char*> kNets[] = {
+      {"meter.rsl", "meter"},
+      {"microwave.rsl", "microwave"},
+      {"dashboard.rsl", "dash"},
+  };
+  for (const auto& [file_name, net_name] : kNets) {
+    const frontend::ParsedFile file = frontend::parse(
+        slurp(std::filesystem::path(POLIS_EXAMPLES_DIR) / file_name));
+    const cfsm::Network& net = *file.networks.at(net_name);
+    GovernorLimits tiny;
+    tiny.max_nodes = 300;
+
+    {
+      // Degrade: both stages complete, and nothing is proved from a fixpoint
+      // that did not converge.
+      tiny.on_budget = OnBudget::kDegrade;
+      ResourceGovernor gov(tiny);
+      ResourceGovernor::Scope scope(&gov);
+      verif::VerifyResult v;
+      int stage = 0;
+      const NetworkSynthesis synth = verify_then_synthesize(net, &v, &stage);
+      for (const verif::CheckResult& r : v.assertions) {
+        if (r.verdict == verif::Verdict::kProved) {
+          EXPECT_TRUE(v.reach.converged) << net_name << "/" << r.property.name;
+        }
+      }
+      EXPECT_EQ(synth.per_instance.size(), net.instances().size()) << net_name;
+      for (const auto& [instance, r] : synth.per_instance)
+        EXPECT_FALSE(r.c_code.empty()) << net_name << "/" << instance;
+      EXPECT_GT(gov.degradations(), 0u) << net_name;
+    }
+    {
+      // Fail: the same limits surface the trip from the first stage.
+      tiny.on_budget = OnBudget::kFail;
+      ResourceGovernor gov(tiny);
+      ResourceGovernor::Scope scope(&gov);
+      verif::VerifyResult v;
+      int stage = 0;
+      EXPECT_THROW(verify_then_synthesize(net, &v, &stage), BudgetExceeded)
+          << net_name;
+      EXPECT_EQ(stage, 1) << net_name;
+      EXPECT_EQ(gov.degradations(), 0u) << net_name;
+    }
+  }
 }
 
 }  // namespace

@@ -16,12 +16,14 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "bdd/bdd.hpp"
 #include "cfsm/cfsm.hpp"
 #include "core/synthesis.hpp"
+#include "obs/trace.hpp"
 #include "util/atomic_file.hpp"
 #include "util/governor.hpp"
 
@@ -204,20 +206,79 @@ TEST(Governor, FaultStormStillCompletesUnderDegrade) {
       });
 
   for (uint64_t seed = 1; seed <= 5; ++seed) {
-    ResourceGovernor gov{GovernorLimits{}};
+    GovernorLimits degrade;  // no budget: only the injected faults trip
+    degrade.on_budget = OnBudget::kDegrade;
+    ResourceGovernor gov{degrade};
     AllocFaultPlan plan;
     plan.seed = seed;
     plan.probability = 0.05;
     gov.set_alloc_fault_plan(plan);
     ResourceGovernor::Scope scope(&gov);
 
-    SynthesisOptions options;
-    options.on_budget = OnBudget::kDegrade;
-    const SynthesisResult r = synthesize(machine, options);
+    const SynthesisResult r = synthesize(machine);
     EXPECT_FALSE(r.c_code.empty());
     EXPECT_FALSE(r.graph == nullptr);
   }
 }
+
+TEST(Governor, RetryUngovernedFollowsThePolicy) {
+  GovernorLimits limits;
+  limits.max_nodes = 64;
+  for (const OnBudget mode : {OnBudget::kFail, OnBudget::kDegrade}) {
+    limits.on_budget = mode;
+    ResourceGovernor gov(limits);
+    ResourceGovernor::Scope scope(&gov);
+    EXPECT_EQ(ResourceGovernor::degrading(), mode == OnBudget::kDegrade);
+    bdd::BddManager mgr(16);
+    std::vector<bool> attempts;
+    const auto attempt = [&](bool retry) {
+      attempts.push_back(retry);
+      return busy_function(mgr, 16);
+    };
+    if (mode == OnBudget::kFail) {
+      EXPECT_THROW(ResourceGovernor::retry_ungoverned("retry", attempt),
+                   BudgetExceeded);
+      EXPECT_EQ(attempts, std::vector<bool>{false});
+      EXPECT_EQ(gov.degradations(), 0u);
+    } else {
+      const bdd::Bdd f = ResourceGovernor::retry_ungoverned("retry", attempt);
+      EXPECT_FALSE(f.is_null());
+      EXPECT_EQ(attempts, (std::vector<bool>{false, true}));
+      EXPECT_EQ(gov.degradations(), 1u);
+    }
+  }
+  // No ambient governor: nothing degrades.
+  EXPECT_FALSE(ResourceGovernor::degrading());
+}
+
+#ifndef POLIS_OBS_DISABLED
+// Each ladder rung lands in the wall-clock trace as a "governor" instant
+// named after the rung, so `polisc --trace` shows where a run degraded.
+TEST(Governor, DegradationIsRecordedAsTraceInstant) {
+  const char* const kRung = "busy function over budget; ungoverned retry";
+  obs::TraceRecorder& recorder = obs::TraceRecorder::global();
+  recorder.clear();
+  recorder.set_enabled(true);
+  {
+    GovernorLimits limits;
+    limits.max_nodes = 64;
+    limits.on_budget = OnBudget::kDegrade;
+    ResourceGovernor gov(limits);
+    ResourceGovernor::Scope scope(&gov);
+    bdd::BddManager mgr(16);
+    ResourceGovernor::retry_ungoverned(
+        kRung, [&](bool) { return busy_function(mgr, 16); });
+  }
+  recorder.set_enabled(false);
+  size_t instants = 0;
+  for (const obs::TraceEvent& e : recorder.collect()) {
+    if (e.ph == 'i' && e.name == kRung && std::string(e.cat) == "governor")
+      ++instants;
+  }
+  recorder.clear();
+  EXPECT_EQ(instants, 1u);
+}
+#endif
 
 TEST(AtomicFile, WritesAndOverwrites) {
   const auto dir = std::filesystem::temp_directory_path() / "polis_atomic_test";

@@ -173,6 +173,7 @@ TEST(ParallelReach, GovernorTripMidFixpointWidensAndRefunds) {
   // transition relation (~1.09 M slots), below what the sharded fixpoint
   // adds on top — so the trip lands mid-fixpoint, not during setup.
   limits.max_nodes = 1'100'000;
+  limits.on_budget = OnBudget::kDegrade;
   ResourceGovernor gov(limits);
   ResourceGovernor::Scope scope(&gov);
   ASSERT_EQ(gov.charged_nodes(), 0u);
@@ -185,7 +186,6 @@ TEST(ParallelReach, GovernorTripMidFixpointWidensAndRefunds) {
     verif::TransitionSystem tr = verif::build_transition_system(enc);
     verif::ReachOptions opt;
     opt.num_threads = 4;
-    opt.degrade_on_budget = true;
     const verif::ReachResult reach = verif::reachable_states(tr, opt);
 
     EXPECT_TRUE(reach.stats.converged);
@@ -212,7 +212,9 @@ TEST(ParallelReach, CancellationDegradesVerdictsToUnknown) {
   const cfsm::Network& net = *file.networks.at("alarmnet");
 
   CancellationToken token;
-  ResourceGovernor gov{GovernorLimits{}, token};
+  GovernorLimits degrade;
+  degrade.on_budget = OnBudget::kDegrade;
+  ResourceGovernor gov{degrade, token};
 
   bdd::BddManager mgr;
   verif::NetworkEncoding enc(net, mgr);
@@ -221,7 +223,6 @@ TEST(ParallelReach, CancellationDegradesVerdictsToUnknown) {
 
   verif::ReachOptions opt;
   opt.num_threads = 4;
-  opt.degrade_on_budget = true;
   verif::ReachResult reach;
   {
     ResourceGovernor::Scope scope(&gov);

@@ -262,10 +262,6 @@ void write_artifact(const Args& args, const std::string& name,
   std::cout << "wrote " << path << "\n";
 }
 
-OnBudget budget_mode(const Args& args) {
-  return args.on_budget == "degrade" ? OnBudget::kDegrade : OnBudget::kFail;
-}
-
 /// Prints the degradation-ladder rungs a synthesis run took; deterministic
 /// for node/byte budgets, so degraded runs stay byte-for-byte comparable.
 void report_degradations(const std::string& name, const SynthesisResult& r) {
@@ -275,20 +271,18 @@ void report_degradations(const std::string& name, const SynthesisResult& r) {
     std::cout << "degraded " << name << ": estimates are placeholders\n";
 }
 
-SynthesisResult synthesize_one(std::shared_ptr<const cfsm::Cfsm> machine,
-                               const Args& args,
-                               const estim::CostModel& model,
-                               const vm::TargetProfile& target,
-                               const cfsm::CareFilter& care_filter = {}) {
+/// The synthesis options the command line selects, shared by --module and
+/// --network (the budget policy lives on the ambient governor).
+SynthesisOptions synthesis_options(const Args& args,
+                                   const estim::CostModel& model,
+                                   const vm::TargetProfile& target) {
   SynthesisOptions options;
   options.scheme = scheme_of(args.scheme);
   options.build.use_care_set = args.care;
-  options.build.care_filter = care_filter;
   options.optimize_copy_in = args.opt_copyin;
   options.target = target;
   options.cost_model = &model;
-  options.on_budget = budget_mode(args);
-  return synthesize(std::move(machine), options);
+  return options;
 }
 
 /// Runs the symbolic engine over a network, prints the verdicts (assert
@@ -296,10 +290,8 @@ SynthesisResult synthesize_one(std::shared_ptr<const cfsm::Cfsm> machine,
 /// every counterexample. Returns the per-machine care filters (empty unless
 /// the reached set is exact).
 std::map<std::string, cfsm::CareFilter> run_verify(const cfsm::Network& net,
-                                                   OnBudget on_budget,
                                                    int verify_threads) {
   verif::VerifyOptions options;
-  options.reach.degrade_on_budget = on_budget == OnBudget::kDegrade;
   options.reach.num_threads = verify_threads;
   const verif::VerifyResult v = verif::verify_network(net, options);
   std::cout << "verify: " << v.reach.reached_states << " reachable states in "
@@ -371,20 +363,14 @@ int run(const Args& args) {
   // the deadline. In degrade mode a deadline that expires mid-parse re-parses
   // ungoverned instead: parsing terminates on any finite input, and nothing
   // downstream can degrade without a parse tree.
-  const frontend::ParsedFile file = [&] {
-    const std::string source = buffer.str();
-    if (budget_mode(args) != OnBudget::kDegrade) return frontend::parse(source);
-    try {
-      return frontend::parse(source);
-    } catch (const BudgetExceeded&) {
-      if (ResourceGovernor* gov = ResourceGovernor::current())
-        gov->note_degradation("parse over deadline; ungoverned re-parse");
-      std::cerr << "degraded frontend: parse over deadline; re-parsing"
-                   " ungoverned\n";
-      ResourceGovernor::Suspend suspend;
-      return frontend::parse(source);
-    }
-  }();
+  const std::string source = buffer.str();
+  const frontend::ParsedFile file = ResourceGovernor::retry_ungoverned(
+      "parse over deadline; ungoverned re-parse", [&](bool retry) {
+        if (retry)
+          std::cerr << "degraded frontend: parse over deadline; re-parsing"
+                       " ungoverned\n";
+        return frontend::parse(source);
+      });
 
   if (args.list) {
     std::cout << "modules:";
@@ -404,18 +390,13 @@ int run(const Args& args) {
   // an expired deadline can trip inside it; the cost model is mandatory for
   // estimation, so degrade mode recalibrates ungoverned (it is small and
   // deterministic) instead of dropping the run.
-  const estim::CostModel model = [&] {
-    if (budget_mode(args) != OnBudget::kDegrade) return estim::calibrate(target);
-    try {
-      return estim::calibrate(target);
-    } catch (const BudgetExceeded&) {
-      if (ResourceGovernor* gov = ResourceGovernor::current())
-        gov->note_degradation("calibration over budget; ungoverned rerun");
-      std::cerr << "degraded calibration: over budget; rerunning ungoverned\n";
-      ResourceGovernor::Suspend suspend;
-      return estim::calibrate(target);
-    }
-  }();
+  const estim::CostModel model = ResourceGovernor::retry_ungoverned(
+      "calibration over budget; ungoverned rerun", [&](bool retry) {
+        if (retry)
+          std::cerr << "degraded calibration: over budget; rerunning"
+                       " ungoverned\n";
+        return estim::calibrate(target);
+      });
   Table report({"task", "s-graph", "est bytes", "meas bytes", "est cycles",
                 "meas cycles", "synth ms"});
 
@@ -425,7 +406,8 @@ int run(const Args& args) {
       std::cerr << "polisc: no module named " << args.module << "\n";
       return 1;
     }
-    const SynthesisResult r = synthesize_one(it->second, args, model, target);
+    const SynthesisResult r =
+        synthesize(it->second, synthesis_options(args, model, target));
     report_degradations(args.module, r);
     write_artifact(args, "cfsm_" + c_identifier(args.module) + ".c", r.c_code);
     if (args.dot) {
@@ -450,8 +432,7 @@ int run(const Args& args) {
 
     std::map<std::string, cfsm::CareFilter> care_filters;
     if (args.verify)
-      care_filters = run_verify(net, budget_mode(args),
-                                static_cast<int>(args.verify_threads));
+      care_filters = run_verify(net, static_cast<int>(args.verify_threads));
 
     rtos::RtosConfig config;
     if (args.policy == "prio")
@@ -473,14 +454,8 @@ int run(const Args& args) {
     // are synthesized once); verif care filters land on their machines via
     // care_filter_by_machine. The same results feed codegen, the report and
     // the simulator below.
-    SynthesisOptions net_options;
-    net_options.scheme = scheme_of(args.scheme);
-    net_options.build.use_care_set = args.care;
-    net_options.optimize_copy_in = args.opt_copyin;
-    net_options.target = target;
-    net_options.cost_model = &model;
+    SynthesisOptions net_options = synthesis_options(args, model, target);
     net_options.care_filter_by_machine = care_filters;
-    net_options.on_budget = budget_mode(args);
     const NetworkSynthesis synth = synthesize_network(net, net_options);
 
     // Degradations are per distinct machine; report them once each.
@@ -576,9 +551,7 @@ int run(const Args& args) {
       // The simulation is advisory — the synthesized artifacts above are
       // already on disk — so in degrade mode a budget trip drops it rather
       // than the whole run. Cancellation still propagates.
-      if (budget_mode(args) != OnBudget::kDegrade) throw;
-      if (ResourceGovernor* gov = ResourceGovernor::current())
-        gov->note_degradation("simulation dropped on budget");
+      ResourceGovernor::degrade_or_rethrow("simulation dropped on budget");
       std::cerr << "degraded simulation: dropped on budget ("
                 << BudgetExceeded::kind_name(e.kind()) << ")\n";
     }
@@ -688,18 +661,23 @@ int main(int argc, char** argv) {
   }
 
   // One governor spans the whole run; every phase charges/polls it through
-  // the thread-local ambient pointer (worker threads re-install it).
+  // the thread-local ambient pointer (worker threads re-install it) and asks
+  // it for the budget policy. Degrade mode installs it even without a budget,
+  // so a real allocation failure still walks the ladder.
   GovernorLimits limits;
   limits.deadline_ms = args.deadline_ms;
   limits.max_nodes = args.max_nodes;
   limits.max_arena_bytes =
       static_cast<uint64_t>(args.max_arena_mb) * (uint64_t{1} << 20);
+  limits.on_budget =
+      args.on_budget == "degrade" ? OnBudget::kDegrade : OnBudget::kFail;
   ResourceGovernor governor(limits);
   std::optional<ResourceGovernor::Scope> scope;
-  if (limits.any()) scope.emplace(&governor);
+  if (limits.any() || limits.on_budget == OnBudget::kDegrade)
+    scope.emplace(&governor);
 
   const auto finish = [&] {
-    if (limits.any()) governor.flush_stats_to_obs();
+    if (scope.has_value()) governor.flush_stats_to_obs();
 #ifndef POLIS_OBS_DISABLED
     // Stop the sampler and detach the sink before the stream closes; each
     // epoch line was already flushed, so even this running on an error path
