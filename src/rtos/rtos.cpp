@@ -1,6 +1,7 @@
 #include "rtos/rtos.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <limits>
 #include <sstream>
@@ -51,9 +52,11 @@ struct PublishedSim {
 };
 
 // Mirrors the monotonic pieces of a (possibly mid-run) SimStats into the
-// registry as deltas since the last publish. Called per metrics epoch and
-// once at run end.
-void publish_sim_deltas(const SimStats& stats, PublishedSim& pub) {
+// registry as deltas since the last publish; `lost` and `misses` are the
+// run's totals so far (its per-net and per-task maps are built only at the
+// end). Called per metrics epoch and once at run end.
+void publish_sim_deltas(const SimStats& stats, long long lost,
+                        long long misses, PublishedSim& pub) {
   const SimStatIds& ids = sim_stat_ids();
   obs::MetricsRegistry& reg = ids.reg;
   auto drain = [&](obs::MetricsRegistry::Id id, long long now,
@@ -65,20 +68,17 @@ void publish_sim_deltas(const SimStats& stats, PublishedSim& pub) {
   drain(ids.empty, stats.empty_reactions, pub.empty);
   drain(ids.busy, stats.busy_cycles, pub.busy);
   drain(ids.overhead, stats.overhead_cycles, pub.overhead);
-  long long lost = 0;
-  for (const auto& [net, n] : stats.lost_events) lost += n;
   drain(ids.lost, lost, pub.lost);
-  long long misses = 0;
-  for (const auto& [task, n] : stats.deadline_misses) misses += n;
   drain(ids.misses, misses, pub.misses);
   drain(ids.faults, stats.injected.total(), pub.faults);
 }
 
 // End-of-run publish: the remaining deltas plus the once-per-run outcomes.
-void publish_sim_stats(const SimStats& stats, PublishedSim& pub) {
+void publish_sim_stats(const SimStats& stats, long long lost,
+                       long long misses, PublishedSim& pub) {
   const SimStatIds& ids = sim_stat_ids();
   obs::MetricsRegistry& reg = ids.reg;
-  publish_sim_deltas(stats, pub);
+  publish_sim_deltas(stats, lost, misses, pub);
   reg.add(ids.runs, 1);
   if (stats.aborted) reg.add(ids.aborted, 1);
   if (stats.watchdog_fired) reg.add(ids.watchdog, 1);
@@ -91,7 +91,85 @@ struct AbortSim {
   bool watchdog = false;
   std::string diagnostic;
 };
+
+// --- Name-keyed edge --------------------------------------------------------
+
+cfsm::Snapshot snapshot_of(const cfsm::Cfsm& machine,
+                           const std::vector<PortFlag>& flags) {
+  cfsm::Snapshot snap;
+  for (size_t p = 0; p < flags.size(); ++p) {
+    if (!flags[p].present) continue;
+    const cfsm::Signal& in = machine.inputs()[p];
+    snap.present[in.name] = true;
+    if (!in.is_pure()) snap.value[in.name] = flags[p].value;
+  }
+  return snap;
+}
+
+std::map<std::string, std::int64_t> state_map(
+    const cfsm::Cfsm& machine, const std::vector<std::int64_t>& state) {
+  std::map<std::string, std::int64_t> out;
+  for (size_t v = 0; v < state.size(); ++v)
+    out[machine.state()[v].name] = state[v];
+  return out;
+}
+
+std::vector<std::int64_t> initial_state_of(const cfsm::Cfsm& machine) {
+  std::vector<std::int64_t> out;
+  for (const cfsm::StateVar& v : machine.state()) out.push_back(v.init);
+  return out;
+}
+
+// The one edge adapter: runs a name-keyed callable on a task's flat operands
+// (Snapshot and state map in; next state and emissions mapped back by name).
+class CallableKernel final : public TaskKernel {
+ public:
+  CallableKernel(ReactFn::Callable call, const cfsm::Cfsm& machine)
+      : call_(std::move(call)), machine_(&machine) {}
+
+  bool react(const std::vector<PortFlag>& flags,
+             std::vector<std::int64_t>& state,
+             std::vector<PortEmission>& emissions,
+             long long* cycles) override {
+    const cfsm::Reaction r = call_(snapshot_of(*machine_, flags),
+                                   state_map(*machine_, state), cycles);
+    const std::vector<cfsm::StateVar>& vars = machine_->state();
+    for (size_t v = 0; v < vars.size(); ++v) {
+      auto it = r.next_state.find(vars[v].name);
+      if (it != r.next_state.end()) state[v] = it->second;
+    }
+    const std::vector<cfsm::Signal>& outs = machine_->outputs();
+    for (const auto& [signal, value] : r.emissions) {
+      size_t o = 0;
+      while (o < outs.size() && outs[o].name != signal) ++o;
+      POLIS_CHECK_MSG(o < outs.size(), "a task of machine "
+                                            << machine_->name() << " emitted "
+                                            << signal
+                                            << ", which is not an output");
+      emissions.emplace_back(static_cast<int>(o), value);
+    }
+    return r.fired;
+  }
+
+ private:
+  ReactFn::Callable call_;
+  const cfsm::Cfsm* machine_;
+};
+
+size_t input_index(const cfsm::Cfsm& machine, const std::string& port) {
+  const std::vector<cfsm::Signal>& ins = machine.inputs();
+  for (size_t p = 0; p < ins.size(); ++p)
+    if (ins[p].name == port) return p;
+  check_failed("false", __FILE__, __LINE__,
+               "machine " + machine.name() + " has no input " + port);
+}
 }  // namespace
+
+std::unique_ptr<TaskKernel> ReactFn::bind(const cfsm::Cfsm& machine) const {
+  if (make_kernel_) return make_kernel_(machine);
+  if (!call_) return nullptr;
+  return std::make_unique<CallableKernel>(call_, machine);
+}
 
 RtosSimulation::RtosSimulation(const cfsm::Network& network, RtosConfig config)
     : network_(&network), config_(std::move(config)) {
@@ -101,27 +179,84 @@ RtosSimulation::RtosSimulation(const cfsm::Network& network, RtosConfig config)
     TaskState t;
     t.name = inst.name;
     t.instance = &inst;
-    t.hardware = config_.hardware_instances.count(inst.name) != 0;
     tasks_.push_back(std::move(t));
   }
+  const std::map<std::string, cfsm::Net> nets = network.nets();
+  for (const auto& [name, net] : nets) net_id(name);
+
+  // Every name in the config must resolve: a typo is an error, not a
+  // silently ignored setting.
+  auto instance_of = [&](const char* field, const std::string& name) {
+    auto it = index.find(name);
+    POLIS_CHECK_MSG(it != index.end(),
+                    "RtosConfig::" << field << " names unknown instance "
+                                   << name << " (network " << network.name()
+                                   << ")");
+    return it->second;
+  };
+  auto net_of = [&](const char* field, const std::string& name) {
+    auto it = net_ids_.find(name);
+    POLIS_CHECK_MSG(it != net_ids_.end(),
+                    "RtosConfig::" << field << " names unknown net " << name
+                                   << " (network " << network.name() << ")");
+    return static_cast<size_t>(it->second);
+  };
+  for (const auto& [name, priority] : config_.priority)
+    tasks_[instance_of("priority", name)].base_priority = priority;
+  for (const std::string& name : config_.hardware_instances)
+    tasks_[instance_of("hardware_instances", name)].hardware = true;
+  for (const auto& [name, monitor] : config_.deadline_monitors)
+    tasks_[instance_of("deadline_monitors", name)].monitor = &monitor;
+  for (const auto& [name, stall] : config_.faults.stalls)
+    tasks_[instance_of("faults.stalls", name)].stall = &stall;
+  for (const std::vector<std::string>& chain : config_.chains)
+    for (const std::string& name : chain) instance_of("chains", name);
+  for (const auto& [name, policy] : config_.overflow_by_net)
+    routes_[net_of("overflow_by_net", name)].overflow = policy;
+  for (const std::string& name : config_.isr_executed_events)
+    routes_[net_of("isr_executed_events", name)].isr_executed = true;
+
   for (TaskState& t : tasks_) {
     for (const std::vector<std::string>& chain : config_.chains) {
       auto pos = std::find(chain.begin(), chain.end(), t.name);
       if (pos == chain.end()) continue;
       for (++pos; pos != chain.end(); ++pos)
-        if (index.count(*pos) != 0) t.chain_next.push_back(index.at(*pos));
+        t.chain_next.push_back(index.at(*pos));
       break;  // a task follows the first chain that names it
     }
+    const cfsm::Cfsm& m = *t.instance->machine;
+    for (const cfsm::Signal& in : m.inputs())
+      t.in_net.push_back(net_id(t.instance->net_of(in.name)));
+    for (const cfsm::Signal& out : m.outputs())
+      t.out_net.push_back(net_id(t.instance->net_of(out.name)));
+    t.flags.assign(m.inputs().size(), PortFlag{});
+    t.incoming = t.frozen = t.flags;
+    for (size_t p = 0; p < m.inputs().size(); ++p)
+      t.ports_by_name.push_back(static_cast<int>(p));
+    std::sort(t.ports_by_name.begin(), t.ports_by_name.end(),
+              [&m](int a, int b) {
+                return m.inputs()[static_cast<size_t>(a)].name <
+                       m.inputs()[static_cast<size_t>(b)].name;
+              });
   }
-  for (const auto& [name, net] : network.nets()) {
-    Route& r = routes_[name];
-    for (const auto& [inst, port] : net.consumers)
-      r.consumers.emplace_back(index.at(inst), port);
-    auto it = config_.overflow_by_net.find(name);
-    r.overflow = it != config_.overflow_by_net.end() ? it->second
-                                                     : config_.overflow_default;
-    r.isr_executed = config_.isr_executed_events.count(name) != 0;
+  for (const auto& [name, net] : nets) {
+    Route& r = routes_[static_cast<size_t>(net_ids_.at(name))];
+    for (const auto& [inst, port] : net.consumers) {
+      const size_t ti = index.at(inst);
+      const size_t p = input_index(*tasks_[ti].instance->machine, port);
+      r.consumers.emplace_back(ti, static_cast<int>(p));
+    }
   }
+}
+
+int RtosSimulation::net_id(const std::string& net) {
+  auto [it, inserted] =
+      net_ids_.emplace(net, static_cast<int>(net_names_.size()));
+  if (inserted) {
+    net_names_.push_back(net);
+    routes_.push_back(Route{{}, config_.overflow_default, false});
+  }
+  return it->second;
 }
 
 RtosSimulation::TaskState& RtosSimulation::task(const std::string& instance) {
@@ -130,27 +265,20 @@ RtosSimulation::TaskState& RtosSimulation::task(const std::string& instance) {
   check_failed("false", __FILE__, __LINE__, "no instance named " + instance);
 }
 
-void RtosSimulation::set_task(const std::string& instance, ReactFn fn) {
-  task(instance).react = std::move(fn);
+void RtosSimulation::set_task(const std::string& instance, const ReactFn& fn) {
+  TaskState& t = task(instance);
+  t.kernel = fn.bind(*t.instance->machine);
 }
 
 void RtosSimulation::set_reference_task(const std::string& instance,
                                         long long cycles) {
-  TaskState& t = task(instance);
-  const cfsm::Cfsm* m = t.instance->machine.get();
-  t.react = [m, cycles](const cfsm::Snapshot& snap,
-                        const std::map<std::string, std::int64_t>& st,
-                        long long* out_cycles) {
+  const cfsm::Cfsm* m = task(instance).instance->machine.get();
+  set_task(instance, [m, cycles](const cfsm::Snapshot& snap,
+                                 const std::map<std::string, std::int64_t>& st,
+                                 long long* out_cycles) {
     *out_cycles = cycles;
     return m->react(snap, st);
-  };
-}
-
-bool RtosSimulation::enabled(const TaskState& t) const {
-  if (t.running) return false;
-  for (const auto& [port, flag] : t.flags)
-    if (flag.present) return true;
-  return false;
+  });
 }
 
 // The simulation engine proper lives in run(); tasks, deliveries and the
@@ -161,6 +289,7 @@ bool RtosSimulation::enabled(const TaskState& t) const {
 SimStats RtosSimulation::run(const std::vector<ExternalEvent>& events,
                              long long horizon) {
   OBS_SPAN(run_span, "rtos.simulate", "rtos");
+  const auto wall_start = std::chrono::steady_clock::now();
   if (run_span.armed()) {
     run_span.arg("network", network_->name());
     run_span.arg("external_events", events.size());
@@ -177,34 +306,53 @@ SimStats RtosSimulation::run(const std::vector<ExternalEvent>& events,
   struct Delivery {
     long long dtime;   // when the flags are actually set
     long long stimulus;  // original environment time (for latency)
-    std::string net;
+    int net;
     std::int64_t value;
     bool polled;
     long long spike = 0;  // injected ISR/polling overhead spike
   };
 
-  // Initialise task state and runnability. Priorities are re-read from the
+  // Initialise task state and runnability. Priorities are reset from the
   // config so a kDemote action in a previous run() does not leak.
   for (TaskState& t : tasks_) {
-    POLIS_CHECK_MSG(t.react != nullptr,
+    POLIS_CHECK_MSG(t.kernel != nullptr,
                     "no implementation registered for task " << t.name);
-    t.state = t.instance->machine->initial_state();
-    t.flags.clear();
-    t.incoming.clear();
+    t.state = initial_state_of(*t.instance->machine);
+    std::fill(t.flags.begin(), t.flags.end(), PortFlag{});
+    std::fill(t.incoming.begin(), t.incoming.end(), PortFlag{});
+    t.present = 0;
     t.running = false;
-    auto it = config_.priority.find(t.name);
-    t.priority = it != config_.priority.end() ? it->second : 100;
+    t.priority = t.base_priority;
   }
   std::vector<bool> runnable(tasks_.size(), false);
+  auto enabled = [](const TaskState& t) {
+    return !t.running && t.present > 0;
+  };
+
+  // A stimulus on a net outside the network gets a net id with no
+  // consumers: the environment observes it as an output.
+  std::vector<int> event_net;
+  event_net.reserve(events.size());
+  for (const ExternalEvent& e : events) event_net.push_back(net_id(e.net));
+
+  // Per-net and per-task outcomes; the SimStats maps are built at the end.
+  const size_t num_nets = net_names_.size();
+  std::vector<long long> lost(num_nets, 0);
+  std::vector<long long> emitted(num_nets, 0);
+  std::vector<std::vector<long long>> latency(num_nets);
+  std::vector<long long> misses(tasks_.size(), 0);
+  long long lost_total = 0;
+  long long miss_total = 0;
 
   SimStats stats;
 
+  // Callers test `logging` first, so no subject string is built otherwise.
+  const bool logging = config_.collect_log || config_.live_vcd != nullptr;
   auto log_event = [&](long long time, LogEvent::Kind kind,
-                       const std::string& subject, std::int64_t value) {
-    if (!config_.collect_log && config_.live_vcd == nullptr) return;
-    const LogEvent e{time, kind, subject, value};
+                       std::string subject, std::int64_t value) {
+    LogEvent e{time, kind, std::move(subject), value};
     if (config_.live_vcd != nullptr) config_.live_vcd->on_event(e);
-    if (config_.collect_log) stats.log.push_back(e);
+    if (config_.collect_log) stats.log.push_back(std::move(e));
   };
 
   // All fault perturbations are drawn from this one seeded stream in a
@@ -219,10 +367,11 @@ SimStats RtosSimulation::run(const std::vector<ExternalEvent>& events,
   // overhead spike) are applied here, before polling quantisation.
   std::vector<Delivery> schedule;
   schedule.reserve(events.size());
-  auto push_delivery = [&](long long etime, const ExternalEvent& e) {
+  auto push_delivery = [&](long long etime, size_t k) {
+    const ExternalEvent& e = events[k];
     Delivery d;
     d.stimulus = e.time;
-    d.net = e.net;
+    d.net = event_net[k];
     d.value = e.value;
     d.polled = config_.delivery == RtosConfig::HwDelivery::kPolling;
     d.dtime = d.polled
@@ -235,16 +384,19 @@ SimStats RtosSimulation::run(const std::vector<ExternalEvent>& events,
       d.spike = plan.spike_cycles;
       d.dtime += d.spike;
       stats.injected.spikes++;
-      log_event(d.dtime, LogEvent::Kind::kFault, "spike " + e.net, d.spike);
+      if (logging)
+        log_event(d.dtime, LogEvent::Kind::kFault, "spike " + e.net, d.spike);
     }
-    schedule.push_back(std::move(d));
+    schedule.push_back(d);
   };
-  for (const ExternalEvent& e : events) {
+  for (size_t k = 0; k < events.size(); ++k) {
+    const ExternalEvent& e = events[k];
     long long etime = e.time;
     if (faulty) {
       if (plan.drop_probability > 0 && fault_rng.flip(plan.drop_probability)) {
         stats.injected.drops++;
-        log_event(e.time, LogEvent::Kind::kFault, "drop " + e.net, e.value);
+        if (logging)
+          log_event(e.time, LogEvent::Kind::kFault, "drop " + e.net, e.value);
         continue;
       }
       if (plan.delay_probability > 0 && plan.max_delay > 0 &&
@@ -252,21 +404,26 @@ SimStats RtosSimulation::run(const std::vector<ExternalEvent>& events,
         const long long late = fault_rng.uniform(1, plan.max_delay);
         etime += late;
         stats.injected.delays++;
-        log_event(etime, LogEvent::Kind::kFault, "delay " + e.net, late);
+        if (logging)
+          log_event(etime, LogEvent::Kind::kFault, "delay " + e.net, late);
       }
     }
-    push_delivery(etime, e);
+    push_delivery(etime, k);
     if (faulty && plan.duplicate_probability > 0 &&
         fault_rng.flip(plan.duplicate_probability)) {
       stats.injected.duplicates++;
-      log_event(etime, LogEvent::Kind::kFault, "duplicate " + e.net, e.value);
-      push_delivery(etime + std::max<long long>(1, plan.duplicate_gap), e);
+      if (logging)
+        log_event(etime, LogEvent::Kind::kFault, "duplicate " + e.net,
+                  e.value);
+      push_delivery(etime + std::max<long long>(1, plan.duplicate_gap), k);
     }
   }
-  std::stable_sort(schedule.begin(), schedule.end(),
-                   [](const Delivery& a, const Delivery& b) {
-                     return a.dtime < b.dtime;
-                   });
+  // Traces usually arrive in time order; only faults and polling reorder.
+  auto by_time = [](const Delivery& a, const Delivery& b) {
+    return a.dtime < b.dtime;
+  };
+  if (!std::is_sorted(schedule.begin(), schedule.end(), by_time))
+    std::stable_sort(schedule.begin(), schedule.end(), by_time);
 
   size_t next_delivery = 0;
   size_t rr_cursor = 0;
@@ -276,22 +433,27 @@ SimStats RtosSimulation::run(const std::vector<ExternalEvent>& events,
   // Writes `arrival` into a 1-place buffer (§II-D) under the net's overflow
   // policy; returns false when kDropNew discards it. `clash` describes the
   // collision for the kAbortWithDiagnostic diagnostic.
-  auto buffer_write = [&](Flag& slot, const Flag& arrival,
-                          const std::string& net, OverflowPolicy policy,
-                          long long now, const auto& clash) {
+  auto buffer_write = [&](PortFlag& slot, const PortFlag& arrival, int net,
+                          OverflowPolicy policy, long long now,
+                          const auto& clash) {
     if (slot.present) {
-      stats.lost_events[net]++;
+      lost[static_cast<size_t>(net)]++;
+      lost_total++;
       switch (policy) {
         case OverflowPolicy::kOverwrite:
           break;  // paper default: newest wins
         case OverflowPolicy::kDropNew:
           // Oldest wins: the arriving event is discarded.
-          log_event(now, LogEvent::Kind::kFault, "dropnew " + net,
-                    arrival.value);
+          if (logging)
+            log_event(now, LogEvent::Kind::kFault,
+                      "dropnew " + net_names_[static_cast<size_t>(net)],
+                      arrival.value);
           return false;
         case OverflowPolicy::kAbortWithDiagnostic: {
           std::ostringstream os;
-          os << "buffer overflow on net " << net << " at t=" << now << ": ";
+          os << "buffer overflow on net "
+             << net_names_[static_cast<size_t>(net)] << " at t=" << now
+             << ": ";
           clash(os);
           throw AbortSim{false, os.str()};
         }
@@ -301,33 +463,46 @@ SimStats RtosSimulation::run(const std::vector<ExternalEvent>& events,
     return true;
   };
 
-  // §IV-D: a reaction reads its flags atomically at start (later arrivals go
-  // to the incoming buffer); a reaction that fires no rule gets its input
+  // §IV-D: a reaction reads its flags atomically at start. They move to the
+  // task's `frozen` buffer (later arrivals go to the emptied flags or, while
+  // it runs, to `incoming`); a reaction that fires no rule gets its input
   // events back for the next execution.
   struct Frozen {
-    cfsm::Snapshot snap;
-    std::map<std::string, Flag> flags;
     long long stimulus = kInf;    // originating external stimulus
     long long enabled_at = kInf;  // earliest undetected event (deadlines)
   };
   auto freeze = [](TaskState& t) {
     Frozen f;
-    for (const auto& [port, flag] : t.flags) {
+    t.frozen.swap(t.flags);
+    std::fill(t.flags.begin(), t.flags.end(), PortFlag{});
+    t.present = 0;
+    for (const PortFlag& flag : t.frozen) {
       if (!flag.present) continue;
-      f.snap.present[port] = true;
-      const cfsm::Signal* in = t.instance->machine->find_input(port);
-      if (in != nullptr && !in->is_pure()) f.snap.value[port] = flag.value;
       f.stimulus = std::min(f.stimulus, flag.stimulus_time);
       f.enabled_at = std::min(f.enabled_at, flag.emit_time);
     }
-    f.flags.swap(t.flags);
     return f;
   };
-  auto preserve_if_empty = [](TaskState& t, const Frozen& f,
-                              const cfsm::Reaction& reaction) {
-    if (reaction.fired) return;
-    for (const auto& [port, flag] : f.flags)
-      if (flag.present) t.flags[port] = flag;
+  auto preserve_if_empty = [](TaskState& t, bool fired) {
+    if (fired) return;
+    for (size_t p = 0; p < t.frozen.size(); ++p) {
+      if (!t.frozen[p].present) continue;
+      if (!t.flags[p].present) ++t.present;
+      t.flags[p] = t.frozen[p];
+    }
+  };
+
+  // The on_task_* probes see names: built only when a probe is set.
+  auto probe_start = [&](const TaskState& t, long long now) {
+    if (config_.on_task_start)
+      config_.on_task_start(t.name, now,
+                            snapshot_of(*t.instance->machine, t.frozen),
+                            state_map(*t.instance->machine, t.state));
+  };
+  auto probe_end = [&](const TaskState& t, long long now) {
+    if (config_.on_task_end)
+      config_.on_task_end(t.name, now,
+                          state_map(*t.instance->machine, t.state));
   };
 
   // Watchdog state: reactions executed since the last external output, and
@@ -336,15 +511,14 @@ SimStats RtosSimulation::run(const std::vector<ExternalEvent>& events,
   std::vector<long long> runnable_since(tasks_.size(), -1);
   long long watermark = 0;  // latest simulated time (for abort diagnostics)
 
-  auto note_reaction = [&](const std::string& task, long long now,
-                           bool fired) {
+  auto note_reaction = [&](size_t task, long long now, bool fired) {
     stats.reactions_run++;
     if (config_.watchdog.livelock_reactions > 0 &&
         ++reactions_since_output > config_.watchdog.livelock_reactions) {
       std::ostringstream os;
       os << "watchdog: livelock — " << reactions_since_output
-         << " reactions without an external output (last task " << task
-         << " at t=" << now << ")";
+         << " reactions without an external output (last task "
+         << tasks_[task].name << " at t=" << now << ")";
       throw AbortSim{true, os.str()};
     }
     if (!fired) stats.empty_reactions++;
@@ -365,65 +539,137 @@ SimStats RtosSimulation::run(const std::vector<ExternalEvent>& events,
     }
   };
 
-  // Executes one reaction of a hw-CFSM (§I-A): instantaneous w.r.t. the
-  // CPU, `hw_reaction_cycles` of wall-clock latency, emissions cascade.
-  std::function<void(size_t, long long)> run_hardware;
+  // --- Delivery cascade -----------------------------------------------------
+  // An emission goes to every consumer of its net in route order. A hardware
+  // consumer (§I-A) reacts at once, and its emissions are delivered, depth
+  // first, before the next consumer is served. The cascade runs on an
+  // explicit stack: a cycle of hardware instances never returns to the main
+  // loop, so a hardware reaction starts only at or before the horizon.
+  struct Step {
+    bool hardware = false;      // a hardware reaction's emissions, else one
+                                // delivery of `value` on `net`
+    int net = 0;
+    std::int64_t value = 0;
+    long long time = 0;         // delivery / hardware completion time
+    long long stimulus = 0;
+    int producer = -1;          // task index, -1 = the environment
+    size_t next = 0;            // next consumer / next emission
+    size_t begin = 0, end = 0;  // hardware: its emissions in `pending`
+  };
+  std::vector<Step> cascade;
+  std::vector<std::pair<int, std::int64_t>> pending;  // (net, value)
+  const std::string env_name = "env";
+  auto producer_name = [&](int producer) -> const std::string& {
+    return producer < 0 ? env_name : tasks_[static_cast<size_t>(producer)].name;
+  };
 
-  std::function<void(const std::string&, std::int64_t, long long, long long,
-                     const std::string&)>
-      deliver_to_consumers;
-  deliver_to_consumers = [&](const std::string& net, std::int64_t value,
-                             long long now, long long stimulus,
-                             const std::string& producer) -> void {
-    log_event(now, LogEvent::Kind::kEmission, net, value);
-    stats.emitted_events[net]++;
+  // Logs and counts one emission; an emission on a net with no consumer is
+  // observed by the environment, any other is pushed for delivery.
+  auto emit = [&](int net, std::int64_t value, long long now,
+                  long long stimulus, int producer) {
+    const size_t n = static_cast<size_t>(net);
+    if (logging)
+      log_event(now, LogEvent::Kind::kEmission, net_names_[n], value);
+    emitted[n]++;
     watermark = std::max(watermark, now);
-    const auto r = routes_.find(net);
-    if (r == routes_.end() || r->second.consumers.empty()) {
-      // External output: observed by the environment.
-      stats.outputs.push_back(ObservedEmission{now, net, value, producer});
-      stats.input_to_output_latency[net].push_back(now - stimulus);
+    if (routes_[n].consumers.empty()) {
+      stats.outputs.push_back(
+          ObservedEmission{now, net_names_[n], value, producer_name(producer)});
+      latency[n].push_back(now - stimulus);
       if (now >= stimulus)  // lock-free shard path; epoch sketches read this
         sim_stat_ids().reg.observe(
             sim_stat_ids().latency, static_cast<std::uint64_t>(now - stimulus));
       reactions_since_output = 0;
       return;
     }
-    for (const auto& [ti, port] : r->second.consumers) {
-      TaskState& c = tasks_[ti];
-      if (!buffer_write((c.running ? c.incoming : c.flags)[port],
-                        Flag{true, value, now, stimulus}, net,
-                        r->second.overflow, now, [&](std::ostream& os) {
-                          os << "event from " << producer << " found port "
-                             << port << " of task " << c.name
-                             << " already full";
-                        }))
-        continue;
-      log_event(now, LogEvent::Kind::kDelivery, c.name, value);
-      if (c.hardware) {
-        run_hardware(ti, now);
-      } else if (!c.running) {
-        if (!runnable[ti]) runnable_since[ti] = now;
-        runnable[ti] = true;
-      }
-    }
+    Step s;
+    s.net = net;
+    s.value = value;
+    s.time = now;
+    s.stimulus = stimulus;
+    s.producer = producer;
+    cascade.push_back(s);
   };
 
-  run_hardware = [&](size_t ti, long long now) {
+  // One reaction of a hw-CFSM: instantaneous w.r.t. the CPU,
+  // `hw_reaction_cycles` of wall-clock latency; its emissions are pushed.
+  auto react_hardware = [&](size_t ti, long long now) {
+    if (now > horizon) return;  // the event stays buffered
     TaskState& t = tasks_[ti];
     const Frozen in = freeze(t);
-    if (config_.on_task_start)
-      config_.on_task_start(t.name, now, in.snap, t.state);
+    probe_start(t, now);
+    t.emissions.clear();
     long long unused_cycles = 0;
-    const cfsm::Reaction reaction = t.react(in.snap, t.state, &unused_cycles);
-    note_reaction(t.name, now, reaction.fired);
-    preserve_if_empty(t, in, reaction);
-    t.state = reaction.next_state;
+    const bool fired =
+        t.kernel->react(t.frozen, t.state, t.emissions, &unused_cycles);
+    note_reaction(ti, now, fired);
+    preserve_if_empty(t, fired);
     const long long done = now + config_.hw_reaction_cycles;
-    if (config_.on_task_end) config_.on_task_end(t.name, done, t.state);
-    for (const auto& [port, value] : reaction.emissions)
-      deliver_to_consumers(t.instance->net_of(port), value, done,
-                           in.stimulus == kInf ? done : in.stimulus, t.name);
+    probe_end(t, done);
+    if (t.emissions.empty()) return;
+    Step s;
+    s.hardware = true;
+    s.time = done;
+    s.stimulus = in.stimulus == kInf ? done : in.stimulus;
+    s.producer = static_cast<int>(ti);
+    s.begin = s.next = pending.size();
+    for (const auto& [port, value] : t.emissions)
+      pending.emplace_back(t.out_net[static_cast<size_t>(port)], value);
+    s.end = pending.size();
+    cascade.push_back(s);
+  };
+
+  // Delivers one emission and everything it cascades into. A step whose
+  // last piece of work starts a deeper one is popped first, so a chain of
+  // hardware reactions runs in constant stack space.
+  auto deliver = [&](int net, std::int64_t value, long long now,
+                     long long stimulus, int producer) {
+    emit(net, value, now, stimulus, producer);
+    while (!cascade.empty()) {
+      Step& s = cascade.back();
+      if (s.hardware) {
+        const std::pair<int, std::int64_t> out = pending[s.next++];
+        const Step from = s;
+        if (s.next == s.end) {
+          pending.resize(s.begin);
+          cascade.pop_back();
+        }
+        emit(out.first, out.second, from.time, from.stimulus, from.producer);
+        continue;
+      }
+      const Route& r = routes_[static_cast<size_t>(s.net)];
+      bool descended = false;
+      while (s.next < r.consumers.size()) {
+        const auto [ti, port] = r.consumers[s.next++];
+        TaskState& c = tasks_[ti];
+        const size_t p = static_cast<size_t>(port);
+        PortFlag& slot = (c.running ? c.incoming : c.flags)[p];
+        const bool was_present = slot.present;
+        if (!buffer_write(slot, PortFlag{true, s.value, s.time, s.stimulus},
+                          s.net, r.overflow, s.time, [&](std::ostream& os) {
+                            os << "event from " << producer_name(s.producer)
+                               << " found port "
+                               << c.instance->machine->inputs()[p].name
+                               << " of task " << c.name << " already full";
+                          }))
+          continue;
+        if (!was_present && !c.running) ++c.present;
+        if (logging)
+          log_event(s.time, LogEvent::Kind::kDelivery, c.name, s.value);
+        if (c.hardware) {
+          const long long at = s.time;
+          if (s.next == r.consumers.size()) cascade.pop_back();
+          react_hardware(ti, at);
+          descended = true;
+          break;
+        }
+        if (!c.running) {
+          if (!runnable[ti]) runnable_since[ti] = s.time;
+          runnable[ti] = true;
+        }
+      }
+      if (!descended) cascade.pop_back();
+    }
   };
 
   // Set when deliver_due hands an ISR-executed event in; serviced by
@@ -437,10 +683,10 @@ SimStats RtosSimulation::run(const std::vector<ExternalEvent>& events,
       stats.overhead_cycles += (d.polled ? config_.polling_routine_cycles
                                          : config_.isr_overhead_cycles) +
                                d.spike;
-      deliver_to_consumers(d.net, d.value, d.dtime, d.stimulus, "env");
-      const auto r = d.polled ? routes_.end() : routes_.find(d.net);
-      if (r == routes_.end() || !r->second.isr_executed) continue;
-      for (const auto& consumer : r->second.consumers)
+      deliver(d.net, d.value, d.dtime, d.stimulus, -1);
+      const Route& r = routes_[static_cast<size_t>(d.net)];
+      if (d.polled || !r.isr_executed) continue;
+      for (const auto& consumer : r.consumers)
         if (runnable[consumer.first] && enabled(tasks_[consumer.first]))
           isr_ready.push_back(consumer.first);
     }
@@ -491,26 +737,26 @@ SimStats RtosSimulation::run(const std::vector<ExternalEvent>& events,
     runnable_since[idx] = -1;
 
     // Dispatch-order fault draws: stall first, then execution jitter.
-    if (faulty) {
-      auto stall = plan.stalls.find(t.name);
-      if (stall != plan.stalls.end() && stall->second.cycles > 0 &&
-          fault_rng.flip(stall->second.probability)) {
-        dispatch_cycles += stall->second.cycles;
-        stats.injected.stalls++;
+    if (faulty && t.stall != nullptr && t.stall->cycles > 0 &&
+        fault_rng.flip(t.stall->probability)) {
+      dispatch_cycles += t.stall->cycles;
+      stats.injected.stalls++;
+      if (logging)
         log_event(start, LogEvent::Kind::kFault, "stall " + t.name,
-                  stall->second.cycles);
-      }
+                  t.stall->cycles);
     }
 
     const Frozen in = freeze(t);
     t.running = true;
-    log_event(start, LogEvent::Kind::kTaskStart, t.name, 0);
-    if (config_.on_task_start)
-      config_.on_task_start(t.name, start, in.snap, t.state);
+    if (logging) log_event(start, LogEvent::Kind::kTaskStart, t.name, 0);
+    probe_start(t, start);
 
+    // The reaction computes its next state and emissions now; nothing reads
+    // the task's state before its completion, where both take effect.
     long long cycles = 0;
-    const cfsm::Reaction reaction = t.react(in.snap, t.state, &cycles);
-    note_reaction(t.name, start, reaction.fired);
+    t.emissions.clear();
+    const bool fired = t.kernel->react(t.frozen, t.state, t.emissions, &cycles);
+    note_reaction(idx, start, fired);
     if (faulty && plan.exec_jitter > 0) {
       const long long extra = std::llround(static_cast<double>(cycles) *
                                            plan.exec_jitter *
@@ -518,7 +764,8 @@ SimStats RtosSimulation::run(const std::vector<ExternalEvent>& events,
       if (extra > 0) {
         cycles += extra;
         stats.injected.jittered++;
-        log_event(start, LogEvent::Kind::kFault, "jitter " + t.name, extra);
+        if (logging)
+          log_event(start, LogEvent::Kind::kFault, "jitter " + t.name, extra);
       }
     }
     stats.busy_cycles += cycles;
@@ -552,27 +799,33 @@ SimStats RtosSimulation::run(const std::vector<ExternalEvent>& events,
     }
     watermark = std::max(watermark, now);
 
-    // Completion: apply effects atomically (the reaction delay has elapsed).
-    t.state = reaction.next_state;
-    if (config_.on_task_end) config_.on_task_end(t.name, now, t.state);
+    // Completion: the effects apply atomically (the reaction delay has
+    // elapsed).
+    probe_end(t, now);
     // A fresh arrival for a preserved port (merged below) overwrites the
     // preserved event, counting it as lost.
-    preserve_if_empty(t, in, reaction);
-    // Merge buffered arrivals, under the same per-net overflow policy as
-    // delivery: a preserved event and a buffered arrival contend for the
-    // same 1-place buffer.
+    preserve_if_empty(t, fired);
+    // Merge buffered arrivals in port-name order, under the same per-net
+    // overflow policy as delivery: a preserved event and a buffered arrival
+    // contend for the same 1-place buffer.
     bool any_incoming = false;
-    for (const auto& [port, flag] : t.incoming) {
-      if (!flag.present) continue;
-      const std::string& net = t.instance->net_of(port);
-      any_incoming |= buffer_write(
-          t.flags[port], flag, net, routes_.at(net).overflow, now,
+    for (const int port : t.ports_by_name) {
+      const size_t p = static_cast<size_t>(port);
+      if (!t.incoming[p].present) continue;
+      const int net = t.in_net[p];
+      const bool was_present = t.flags[p].present;
+      const bool written = buffer_write(
+          t.flags[p], t.incoming[p], net,
+          routes_[static_cast<size_t>(net)].overflow, now,
           [&](std::ostream& os) {
             os << "arrival buffered during the reaction of task " << t.name
-               << " collided with its preserved event on port " << port;
+               << " collided with its preserved event on port "
+               << t.instance->machine->inputs()[p].name;
           });
+      if (written && !was_present) ++t.present;
+      any_incoming |= written;
     }
-    t.incoming.clear();
+    std::fill(t.incoming.begin(), t.incoming.end(), PortFlag{});
     t.running = false;
     if (any_incoming) {
       if (!runnable[idx]) runnable_since[idx] = now;
@@ -581,35 +834,39 @@ SimStats RtosSimulation::run(const std::vector<ExternalEvent>& events,
 
     // Deadline monitor: response time is measured from the earliest event
     // that enabled this activation to its completion.
-    auto monitor = config_.deadline_monitors.find(t.name);
-    if (monitor != config_.deadline_monitors.end() &&
-        monitor->second.deadline_cycles > 0 && in.enabled_at != kInf &&
-        now - in.enabled_at > monitor->second.deadline_cycles) {
-      stats.deadline_misses[t.name]++;
-      log_event(now, LogEvent::Kind::kDeadlineMiss, t.name,
-                now - in.enabled_at);
-      switch (monitor->second.action) {
+    const DeadlineMonitor* monitor = t.monitor;
+    if (monitor != nullptr && monitor->deadline_cycles > 0 &&
+        in.enabled_at != kInf &&
+        now - in.enabled_at > monitor->deadline_cycles) {
+      misses[idx]++;
+      miss_total++;
+      if (logging)
+        log_event(now, LogEvent::Kind::kDeadlineMiss, t.name,
+                  now - in.enabled_at);
+      switch (monitor->action) {
         case DeadlineMonitor::MissAction::kCount:
           break;
         case DeadlineMonitor::MissAction::kFlushRestart:
           // Shed load: drop every pending input and restart the task.
-          t.flags.clear();
-          t.incoming.clear();
-          t.state = t.instance->machine->initial_state();
+          std::fill(t.flags.begin(), t.flags.end(), PortFlag{});
+          std::fill(t.incoming.begin(), t.incoming.end(), PortFlag{});
+          t.present = 0;
+          t.state = initial_state_of(*t.instance->machine);
           runnable[idx] = false;
           runnable_since[idx] = -1;
           break;
         case DeadlineMonitor::MissAction::kDemote:
-          t.priority += monitor->second.demote_by;
+          t.priority += monitor->demote_by;
           break;
       }
     }
 
-    log_event(now, LogEvent::Kind::kTaskEnd, t.name, 0);
+    if (logging) log_event(now, LogEvent::Kind::kTaskEnd, t.name, 0);
     // Emissions propagate at completion time.
-    for (const auto& [port, value] : reaction.emissions)
-      deliver_to_consumers(t.instance->net_of(port), value, now,
-                           in.stimulus == kInf ? now : in.stimulus, t.name);
+    const long long stimulus = in.stimulus == kInf ? now : in.stimulus;
+    for (const auto& [port, value] : t.emissions)
+      deliver(t.out_net[static_cast<size_t>(port)], value, now, stimulus,
+              static_cast<int>(idx));
 
     // §IV-A chaining: run later members of this task's chain that the
     // emissions just enabled, bypassing the scheduler.
@@ -639,7 +896,7 @@ SimStats RtosSimulation::run(const std::vector<ExternalEvent>& events,
       while (now >= next_epoch) {
 #ifndef POLIS_OBS_DISABLED
         if (epochs_on) {
-          publish_sim_deltas(stats, published);
+          publish_sim_deltas(stats, lost_total, miss_total, published);
           OBS_TICK_EPOCH(obs::Timebase::kSim, next_epoch);
         }
 #endif
@@ -685,6 +942,14 @@ SimStats RtosSimulation::run(const std::vector<ExternalEvent>& events,
     }
   }
   stats.end_time = std::max(now, watermark);
+  for (size_t n = 0; n < num_nets; ++n) {
+    if (lost[n] > 0) stats.lost_events[net_names_[n]] = lost[n];
+    if (emitted[n] > 0) stats.emitted_events[net_names_[n]] = emitted[n];
+    if (!latency[n].empty())
+      stats.input_to_output_latency[net_names_[n]] = std::move(latency[n]);
+  }
+  for (size_t i = 0; i < tasks_.size(); ++i)
+    if (misses[i] > 0) stats.deadline_misses[tasks_[i].name] = misses[i];
   // Closing the live VCD here — not at any earlier exit — is what keeps a
   // waveform from an aborted run loadable: wires still high are dropped and
   // the final timestamp is stamped even when AbortSim cut the run short.
@@ -693,8 +958,18 @@ SimStats RtosSimulation::run(const std::vector<ExternalEvent>& events,
     run_span.arg("end_time", stats.end_time);
     run_span.arg("reactions", stats.reactions_run);
     run_span.arg("aborted", stats.aborted);
+    // Throughput in wall-clock time: trace-only, so the registry and the
+    // simulated-cycle series stay byte-identical across runs.
+    const double wall = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - wall_start)
+                            .count();
+    if (wall > 0) {
+      run_span.arg("events_per_s", static_cast<double>(events.size()) / wall);
+      run_span.arg("reactions_per_s",
+                   static_cast<double>(stats.reactions_run) / wall);
+    }
   }
-  publish_sim_stats(stats, published);
+  publish_sim_stats(stats, lost_total, miss_total, published);
   return stats;
 }
 

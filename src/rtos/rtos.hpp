@@ -14,14 +14,26 @@
 //     reading them; events arriving during its execution are buffered and
 //     merged afterwards, so no impossible event combination is ever observed
 //     (§IV-D); a reaction that fires no rule preserves its input events.
+//
+// Data layout (DESIGN.md §4): RtosSimulation interns every name once, at
+// construction. Nets become dense net ids; ports and state variables become
+// the index of the signal or variable in the machine's inputs()/outputs()/
+// state(). run() then works on flat per-task flag and state vectors, routes
+// indexed by net id and per-net counters. Names reappear only at the edges:
+// the SimStats maps (built when the run ends), the event log and VCD, the
+// on_task_* probes and abort diagnostics.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <optional>
 #include <set>
 #include <string>
+#include <type_traits>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "cfsm/cfsm.hpp"
@@ -46,6 +58,11 @@ struct RtosConfig {
 
   /// Static priorities (lower value = higher priority). Instances absent
   /// from the map default to priority 100, ties broken by declaration order.
+  ///
+  /// Every name-keyed field (priority, isr_executed_events, chains,
+  /// hardware_instances, overflow_by_net, deadline_monitors, faults.stalls)
+  /// must name an instance or net of the network: RtosSimulation's
+  /// constructor throws a CheckError naming the field and the unknown name.
   std::map<std::string, int> priority;
 
   /// Record a full event log in SimStats::log (task activations, event
@@ -138,11 +155,78 @@ struct ExternalEvent {
   std::int64_t value = 0;
 };
 
-/// Executes one reaction of one task; must fill `cycles` with the execution
-/// time of that reaction in CPU cycles.
-using ReactFn = std::function<cfsm::Reaction(
-    const cfsm::Snapshot& snapshot,
-    const std::map<std::string, std::int64_t>& state, long long* cycles)>;
+/// One input port's 1-place event buffer (§II-D): the task's private flag
+/// (§IV-B) plus the times the simulator tracks for latency and deadlines.
+struct PortFlag {
+  bool present = false;
+  std::int64_t value = 0;
+  long long emit_time = 0;
+  long long stimulus_time = 0;  // originating external stimulus
+};
+
+/// One emission of a dense reaction: (output port index, value).
+using PortEmission = std::pair<int, std::int64_t>;
+
+/// A task's reaction on dense operands: ports and state variables are the
+/// indices of the machine's inputs()/outputs()/state(). A kernel is bound to
+/// one task of one simulation, so it may keep scratch buffers.
+class TaskKernel {
+ public:
+  virtual ~TaskKernel() = default;
+  /// Runs one reaction on the frozen input `flags` (one per input port),
+  /// updating `state` in place to the next state and appending emissions
+  /// to `emissions` (empty on entry). Returns whether a rule fired (events
+  /// are consumed iff true); `*cycles` receives the execution time in CPU
+  /// cycles.
+  virtual bool react(const std::vector<PortFlag>& flags,
+                     std::vector<std::int64_t>& state,
+                     std::vector<PortEmission>& emissions,
+                     long long* cycles) = 0;
+};
+
+/// Executes one reaction of one task. A ReactFn is either
+///   * a name-keyed callable, `(const cfsm::Snapshot&, const std::map<
+///     std::string, std::int64_t>& state, long long* cycles) ->
+///     cfsm::Reaction`, which must fill `cycles`; or
+///   * a dense task (vm_task): a kernel factory plus its name-keyed view.
+/// Either way it is callable with the name-keyed signature, so it can be
+/// wrapped in such a callable (e.g. to time each reaction).
+/// RtosSimulation::set_task binds it once: a dense task runs its kernel
+/// directly; a callable runs behind the one edge adapter, which builds the
+/// Snapshot and state map from the flat operands on every reaction and maps
+/// the Reaction back by port and variable name.
+class ReactFn {
+ public:
+  using Callable = std::function<cfsm::Reaction(
+      const cfsm::Snapshot& snapshot,
+      const std::map<std::string, std::int64_t>& state, long long* cycles)>;
+  /// Makes the kernel for one task; receives the instance's machine.
+  using KernelFactory =
+      std::function<std::unique_ptr<TaskKernel>(const cfsm::Cfsm& machine)>;
+
+  ReactFn() = default;
+  template <typename F>
+    requires(!std::is_same_v<std::remove_cvref_t<F>, ReactFn> &&
+             std::is_constructible_v<Callable, F>)
+  ReactFn(F&& fn) : call_(std::forward<F>(fn)) {}
+  ReactFn(KernelFactory make_kernel, Callable call)
+      : call_(std::move(call)), make_kernel_(std::move(make_kernel)) {}
+
+  cfsm::Reaction operator()(const cfsm::Snapshot& snapshot,
+                            const std::map<std::string, std::int64_t>& state,
+                            long long* cycles) const {
+    return call_(snapshot, state, cycles);
+  }
+  explicit operator bool() const { return static_cast<bool>(call_); }
+
+  /// The kernel one task of `machine` runs: the dense kernel when there is
+  /// one, else the edge adapter over the callable; null when empty.
+  std::unique_ptr<TaskKernel> bind(const cfsm::Cfsm& machine) const;
+
+ private:
+  Callable call_;
+  KernelFactory make_kernel_;
+};
 
 struct ObservedEmission {
   long long time = 0;  // completion time of the emitting reaction
@@ -184,52 +268,61 @@ class RtosSimulation {
  public:
   RtosSimulation(const cfsm::Network& network, RtosConfig config);
 
-  /// Registers the software implementation of one instance.
-  void set_task(const std::string& instance, ReactFn fn);
+  /// Registers the software implementation of one instance (binds
+  /// `fn` to the instance's machine once, see ReactFn).
+  void set_task(const std::string& instance, const ReactFn& fn);
 
   /// Convenience: implement an instance with the reference interpreter and
   /// a fixed reaction cost.
   void set_reference_task(const std::string& instance, long long cycles);
 
+  /// Hardware cascades (§I-A) run depth-first like the emissions that cause
+  /// them, without recursion; a hardware reaction starts only at or before
+  /// `horizon`, so a cycle of hardware instances ends there.
   SimStats run(const std::vector<ExternalEvent>& events,
                long long horizon = 100'000'000);
 
  private:
-  // Per input port: pending event (presence + value + emission time).
-  struct Flag {
-    bool present = false;
-    std::int64_t value = 0;
-    long long emit_time = 0;
-    long long stimulus_time = 0;  // originating external stimulus
-  };
   struct TaskState {
     std::string name;
     const cfsm::Instance* instance = nullptr;
-    ReactFn react;
-    std::map<std::string, std::int64_t> state;
-    std::map<std::string, Flag> flags;     // by port name
-    std::map<std::string, Flag> incoming;  // buffered while running
+    std::unique_ptr<TaskKernel> kernel;
+    std::vector<std::int64_t> state;      // by state variable
+    std::vector<PortFlag> flags;          // by input port
+    std::vector<PortFlag> incoming;       // buffered while running
+    std::vector<PortFlag> frozen;         // the running reaction's input
+    std::vector<PortEmission> emissions;  // the running reaction's output
+    int present = 0;                      // flags with `present` set
     bool running = false;
-    int priority = 100;
-    bool hardware = false;           // a hw-CFSM (§I-A co-design)
-    std::vector<size_t> chain_next;  // later members of its §IV-A chain
+    int base_priority = 100;              // from RtosConfig::priority
+    int priority = 100;                   // this run's (kDemote raises it)
+    bool hardware = false;                // a hw-CFSM (§I-A co-design)
+    std::vector<size_t> chain_next;       // later members of its §IV-A chain
+    std::vector<int> in_net;              // input port -> net id
+    std::vector<int> out_net;             // output port -> net id
+    std::vector<int> ports_by_name;       // input ports in name order
+    const DeadlineMonitor* monitor = nullptr;
+    const StallFault* stall = nullptr;
   };
-  // One net's delivery, resolved at construction: its consumers, the
-  // overflow policy of their 1-place buffers (§II-D), and whether its
-  // external events run the consumers inside the ISR (§IV-C).
+  // One net's delivery, resolved at construction: its consumers (task,
+  // input port), the overflow policy of their 1-place buffers (§II-D), and
+  // whether its external events run the consumers inside the ISR (§IV-C).
   struct Route {
-    std::vector<std::pair<size_t, std::string>> consumers;
+    std::vector<std::pair<size_t, int>> consumers;
     OverflowPolicy overflow = OverflowPolicy::kOverwrite;
     bool isr_executed = false;
   };
 
-  bool enabled(const TaskState& t) const;
   TaskState& task(const std::string& instance);
+  /// Dense id of a net, interning a new one (with no consumers) if needed.
+  int net_id(const std::string& net);
 
   const cfsm::Network* network_;
   RtosConfig config_;
   std::vector<TaskState> tasks_;
-  std::map<std::string, Route> routes_;  // by net name
+  std::vector<Route> routes_;           // by net id
+  std::vector<std::string> net_names_;  // by net id
+  std::unordered_map<std::string, int> net_ids_;
 };
 
 }  // namespace polis::rtos

@@ -9,6 +9,7 @@ namespace polis::vm {
 
 SymbolInfo SymbolInfo::from(const cfsm::Cfsm& machine) {
   SymbolInfo s;
+  s.machine = &machine;
   for (const cfsm::StateVar& v : machine.state()) {
     s.state_vars.insert(v.name);
     s.state_domain[v.name] = v.domain;
@@ -20,6 +21,41 @@ SymbolInfo SymbolInfo::from(const cfsm::Cfsm& machine) {
   for (const cfsm::Signal& sig : machine.outputs())
     s.signal_domain[sig.name] = sig.domain;
   return s;
+}
+
+void resolve_operands(CompiledReaction& r, const SymbolInfo& syms) {
+  const Program& prog = r.program;
+  r.inputs.clear();
+  r.outputs.clear();
+  r.state_slot.clear();
+  if (syms.machine != nullptr) {
+    for (const cfsm::Signal& in : syms.machine->inputs())
+      r.inputs.push_back(in.name);
+    for (const cfsm::Signal& out : syms.machine->outputs())
+      r.outputs.push_back(out.name);
+    for (const cfsm::StateVar& v : syms.machine->state())
+      r.state_slot.push_back(prog.slot_of(v.name));
+  }
+  auto index_in = [](std::vector<std::string>& table, const std::string& sym) {
+    for (size_t i = 0; i < table.size(); ++i)
+      if (table[i] == sym) return static_cast<int>(i);
+    table.push_back(sym);
+    return static_cast<int>(table.size() - 1);
+  };
+  for (Instr& i : r.program.code) {
+    if (i.op == Opcode::kDetect) i.c = index_in(r.inputs, i.sym);
+    if (i.op == Opcode::kEmit) i.c = index_in(r.outputs, i.sym);
+  }
+  r.output_domain.assign(r.outputs.size(), 0);
+  for (size_t o = 0; o < r.outputs.size(); ++o) {
+    auto it = syms.signal_domain.find(r.outputs[o]);
+    if (it != syms.signal_domain.end()) r.output_domain[o] = it->second;
+  }
+  r.input_value_slot.assign(r.inputs.size(), -1);
+  for (size_t p = 0; p < r.inputs.size(); ++p)
+    r.input_value_slot[p] = prog.slot_of(cfsm::value_name(r.inputs[p]));
+  r.slot_wrap_domain.resize(prog.slot_names.size(), 0);
+  r.resolved = true;
 }
 
 // --- RoutineBuilder ---------------------------------------------------------------
@@ -39,10 +75,10 @@ RoutineBuilder::RoutineBuilder(const SymbolInfo& syms, std::string name,
       const int shadow = slot(sv + "__in");
       out_.copy_in.emplace_back(live, shadow);
     }
-    out_.slot_wrap_domain[live] = syms.state_domain.at(sv);
+    out_.slot_wrap_domain[static_cast<size_t>(live)] =
+        syms.state_domain.at(sv);
   }
   for (const std::string& iv : syms.input_value_vars) slot(iv);
-  out_.signal_domain = syms.signal_domain;
 }
 
 int RoutineBuilder::slot(const std::string& name) {
@@ -50,6 +86,7 @@ int RoutineBuilder::slot(const std::string& name) {
   if (it != slot_of_.end()) return it->second;
   const int s = static_cast<int>(out_.program.slot_names.size());
   out_.program.slot_names.push_back(name);
+  out_.slot_wrap_domain.push_back(0);
   slot_of_.emplace(name, s);
   return s;
 }
@@ -142,7 +179,10 @@ void RoutineBuilder::compile_action(const sgraph::ActionOp& op) {
   }
 }
 
-CompiledReaction RoutineBuilder::finish() { return std::move(out_); }
+CompiledReaction RoutineBuilder::finish() {
+  resolve_operands(out_, *syms_);
+  return std::move(out_);
+}
 
 // --- S-graph compiler ---------------------------------------------------------------
 

@@ -9,12 +9,22 @@
 // Entry performs the copy-in of every state variable into a shadow slot
 // (the safe next-state buffering described in §V-B); expression reads of a
 // state variable go to the shadow, writes go to the live slot.
+//
+// RoutineBuilder::finish() also resolves every name the routine uses at run
+// time to a dense index: each kDetect/kEmit symbol to the index of its port
+// in the machine's inputs()/outputs() (stored in the instruction's unused
+// `c` operand, so the encoding and its byte size are unchanged), each state
+// variable and valued input to its memory slot, and each slot and output
+// port to its wrap domain. The interpreter (vm/machine.hpp) then runs on
+// flat arrays only; the symbols stay in the instructions for listings and
+// the name-keyed adapters.
 #pragma once
 
 #include <map>
 #include <optional>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "cfsm/cfsm.hpp"
 #include "sgraph/sgraph.hpp"
@@ -29,17 +39,37 @@ struct SymbolInfo {
   std::set<std::string> input_value_vars;                // v_x
   std::map<std::string, int> state_domain;               // state var -> domain
   std::map<std::string, int> signal_domain;              // output sig -> domain
+  /// The machine whose inputs()/outputs()/state() indices the compiled
+  /// operands resolve to (null: ports are numbered in order of use).
+  const cfsm::Cfsm* machine = nullptr;
 
   static SymbolInfo from(const cfsm::Cfsm& machine);
 };
 
-/// Compiled program plus the copy-in plan and wrap domains used at run time.
+/// Compiled program plus the copy-in plan and the operands resolved for the
+/// flat interpreter. A wrap domain of 0 means "stored unwrapped".
 struct CompiledReaction {
   Program program;
   std::vector<std::pair<int, int>> copy_in;  // (state slot, shadow slot)
-  std::map<int, int> slot_wrap_domain;       // slot -> domain (writes wrap)
-  std::map<std::string, int> signal_domain;  // emission value wrap
+  std::vector<int> slot_wrap_domain;         // per slot: kSt wrap domain
+
+  // --- Resolved operands (resolve_operands) -------------------------------
+  /// Port tables: the machine's inputs()/outputs() in order, then any
+  /// symbol the code uses that is not part of the interface.
+  std::vector<std::string> inputs;
+  std::vector<std::string> outputs;
+  std::vector<int> output_domain;     // per output port: emission wrap
+  std::vector<int> state_slot;        // per machine state var: live slot
+  std::vector<int> input_value_slot;  // per input port: value slot or -1
+  /// Set by resolve_operands (hand-assembled routines are resolved on the
+  /// fly by vm::run).
+  bool resolved = false;
 };
+
+/// Resolves `r`'s symbols and slots against the interface of
+/// `syms.machine` and `syms.signal_domain`; see the header comment. Slots
+/// without a wrap domain get 0.
+void resolve_operands(CompiledReaction& r, const SymbolInfo& syms);
 
 struct CompileOptions {
   /// Run the §V-B data-flow analysis and buffer only the state variables

@@ -28,8 +28,8 @@ enum class Opcode {
   kBrnz,    // if r[a] != 0 jump to label b
   kJmp,     // jump to label a
   kJmpInd,  // pc <- b + r[a] (computed jump into a table of kJmp entries)
-  kDetect,  // r[a] <- RTOS: presence flag of signal `sym` (consuming view)
-  kEmit,    // RTOS: emit signal `sym`; if b >= 0, value is r[b]
+  kDetect,  // r[a] <- RTOS: presence flag of signal `sym` (input port c)
+  kEmit,    // RTOS: emit signal `sym` (output port c); if b >= 0, value r[b]
   kConsume, // RTOS: mark snapshot consumed
   kEnter,   // function prologue (a = number of copied-in variables)
   kRet,     // function epilogue / return

@@ -6,18 +6,21 @@
 
 namespace polis::vm {
 
-RunResult run(const CompiledReaction& reaction, const TargetProfile& profile,
-              const std::map<std::string, std::int64_t>& mem_init,
-              const std::function<bool(const std::string&)>& present) {
+void execute(const CompiledReaction& reaction, const TargetProfile& profile,
+             Frame& frame) {
   const Program& prog = reaction.program;
-  std::vector<std::int64_t> mem(prog.slot_names.size(), 0);
-  for (size_t i = 0; i < prog.slot_names.size(); ++i) {
-    auto it = mem_init.find(prog.slot_names[i]);
-    if (it != mem_init.end()) mem[i] = it->second;
-  }
+  POLIS_CHECK_MSG(reaction.resolved,
+                  "routine " << prog.name << " has unresolved operands");
+  std::vector<std::int64_t>& mem = frame.mem;
+  POLIS_CHECK(mem.size() == prog.slot_names.size() &&
+              reaction.slot_wrap_domain.size() == mem.size());
+  POLIS_CHECK(frame.present.size() == reaction.inputs.size());
   std::int64_t reg[64] = {0};
+  frame.emissions.clear();
+  frame.cycles = 0;
+  frame.instructions = 0;
+  frame.consumed = false;
 
-  RunResult out;
   size_t pc = 0;
   const size_t guard = prog.code.size() * 64 + 1024;  // runaway protection
   size_t steps = 0;
@@ -44,106 +47,142 @@ RunResult run(const CompiledReaction& reaction, const TargetProfile& profile,
               << prog.code.size() << ")");
     pc = static_cast<size_t>(target);
   };
+  auto port = [&](size_t table_size) {
+    const int p = prog.code[pc].c;
+    POLIS_CHECK_MSG(p >= 0 && static_cast<size_t>(p) < table_size,
+                    "pc " << pc << ": port " << p << " out of range [0, "
+                          << table_size << ")");
+    return static_cast<size_t>(p);
+  };
 
   while (pc < prog.code.size()) {
     POLIS_CHECK_MSG(++steps < guard, "VM runaway (bad control flow?)");
     const Instr& i = prog.code[pc];
-    out.instructions++;
+    frame.instructions++;
     switch (i.op) {
       case Opcode::kLdi:
         regi(i.a) = i.imm;
-        out.cycles += profile.cyc_ldi;
+        frame.cycles += profile.cyc_ldi;
         ++pc;
         break;
       case Opcode::kLd:
         regi(i.a) = slot(i.b);
-        out.cycles += profile.cyc_ld;
+        frame.cycles += profile.cyc_ld;
         ++pc;
         break;
       case Opcode::kSt: {
         std::int64_t v = regi(i.b);
-        auto it = reaction.slot_wrap_domain.find(i.a);
-        if (it != reaction.slot_wrap_domain.end())
-          v = cfsm::wrap_to_domain(v, it->second);
-        slot(i.a) = v;
-        out.cycles += profile.cyc_st;
+        std::int64_t& dst = slot(i.a);
+        const int domain = reaction.slot_wrap_domain[static_cast<size_t>(i.a)];
+        if (domain != 0) v = cfsm::wrap_to_domain(v, domain);
+        dst = v;
+        frame.cycles += profile.cyc_st;
         ++pc;
         break;
       }
       case Opcode::kMov:
         regi(i.a) = regi(i.b);
-        out.cycles += profile.cyc_mov;
+        frame.cycles += profile.cyc_mov;
         ++pc;
         break;
       case Opcode::kAlu:
         regi(i.a) = expr::apply_op(i.alu, regi(i.b), regi(i.c));
-        out.cycles += profile.alu_cycles(i.alu);
+        frame.cycles += profile.alu_cycles(i.alu);
         ++pc;
         break;
       case Opcode::kBrz:
         if (regi(i.a) == 0) {
-          out.cycles += profile.cyc_branch_taken;
+          frame.cycles += profile.cyc_branch_taken;
           jump_to(i.b);
         } else {
-          out.cycles += profile.cyc_branch_fall;
+          frame.cycles += profile.cyc_branch_fall;
           ++pc;
         }
         break;
       case Opcode::kBrnz:
         if (regi(i.a) != 0) {
-          out.cycles += profile.cyc_branch_taken;
+          frame.cycles += profile.cyc_branch_taken;
           jump_to(i.b);
         } else {
-          out.cycles += profile.cyc_branch_fall;
+          frame.cycles += profile.cyc_branch_fall;
           ++pc;
         }
         break;
       case Opcode::kJmp:
-        out.cycles += profile.cyc_jmp;
+        frame.cycles += profile.cyc_jmp;
         jump_to(i.b);
         break;
       case Opcode::kJmpInd:
-        out.cycles += profile.cyc_jmpind;
+        frame.cycles += profile.cyc_jmpind;
         jump_to(static_cast<std::int64_t>(i.b) + regi(i.a));
         break;
       case Opcode::kDetect:
-        regi(i.a) = present(i.sym) ? 1 : 0;
-        out.cycles += profile.cyc_detect;
+        regi(i.a) = frame.present[port(frame.present.size())] != 0 ? 1 : 0;
+        frame.cycles += profile.cyc_detect;
         ++pc;
         break;
       case Opcode::kEmit: {
+        const size_t out = port(reaction.outputs.size());
         std::int64_t v = 0;
-        out.cycles += profile.cyc_emit;
+        frame.cycles += profile.cyc_emit;
         if (i.b >= 0) {
           v = regi(i.b);
-          auto it = reaction.signal_domain.find(i.sym);
-          if (it != reaction.signal_domain.end())
-            v = cfsm::wrap_to_domain(v, it->second);
-          out.cycles += profile.cyc_emit_value_extra;
+          const int domain = reaction.output_domain[out];
+          if (domain != 0) v = cfsm::wrap_to_domain(v, domain);
+          frame.cycles += profile.cyc_emit_value_extra;
         }
-        out.emissions.emplace_back(i.sym, v);
+        frame.emissions.emplace_back(static_cast<int>(out), v);
         ++pc;
         break;
       }
       case Opcode::kConsume:
-        out.consumed = true;
-        out.cycles += profile.cyc_consume;
+        frame.consumed = true;
+        frame.cycles += profile.cyc_consume;
         ++pc;
         break;
       case Opcode::kEnter:
-        out.cycles += profile.cyc_enter +
-                      static_cast<long long>(i.a) * profile.cyc_enter_per_copy;
+        frame.cycles += profile.cyc_enter + static_cast<long long>(i.a) *
+                                                profile.cyc_enter_per_copy;
         for (const auto& [from, to] : reaction.copy_in) slot(to) = slot(from);
         ++pc;
         break;
       case Opcode::kRet:
-        out.cycles += profile.cyc_ret;
-        for (size_t s = 0; s < mem.size(); ++s)
-          out.memory_out[prog.slot_names[s]] = mem[s];
-        return out;
+        frame.cycles += profile.cyc_ret;
+        return;
     }
   }
   POLIS_CHECK_MSG(false, "program fell off the end without kRet");
+}
+
+RunResult run(const CompiledReaction& reaction, const TargetProfile& profile,
+              const std::map<std::string, std::int64_t>& mem_init,
+              const std::function<bool(const std::string&)>& present) {
+  CompiledReaction resolved_copy;
+  const CompiledReaction* r = &reaction;
+  if (!reaction.resolved) {
+    resolved_copy = reaction;
+    resolve_operands(resolved_copy, SymbolInfo{});
+    r = &resolved_copy;
+  }
+  const Program& prog = r->program;
+  Frame frame;
+  frame.mem.assign(prog.slot_names.size(), 0);
+  for (size_t i = 0; i < prog.slot_names.size(); ++i) {
+    auto it = mem_init.find(prog.slot_names[i]);
+    if (it != mem_init.end()) frame.mem[i] = it->second;
+  }
+  for (const std::string& sig : r->inputs)
+    frame.present.push_back(present(sig) ? 1 : 0);
+  execute(*r, profile, frame);
+
+  RunResult out;
+  out.cycles = frame.cycles;
+  out.instructions = frame.instructions;
+  out.consumed = frame.consumed;
+  for (const auto& [port, value] : frame.emissions)
+    out.emissions.emplace_back(r->outputs[static_cast<size_t>(port)], value);
+  for (size_t s = 0; s < frame.mem.size(); ++s)
+    out.memory_out[prog.slot_names[s]] = frame.mem[s];
   return out;
 }
 

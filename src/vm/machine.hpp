@@ -2,6 +2,12 @@
 // timing measurement over a CFSM's concrete input space. This produces the
 // "measured" columns of Table I (the paper measured with an INTROL-compiled
 // binary and a 68HC11 cycle calculator; our VM plays both roles).
+//
+// There is one interpreter loop, `execute`, and it runs on flat operands
+// only: memory by slot, presence by input port, emissions by output port
+// (the indices RoutineBuilder::finish() resolved). `run` and `run_reaction`
+// are name-keyed adapters over it for tests, calibration and timing
+// measurement; the RTOS simulator calls `execute` directly (rtos::vm_task).
 #pragma once
 
 #include <cstdint>
@@ -25,8 +31,27 @@ struct RunResult {
   std::map<std::string, std::int64_t> memory_out;  // by slot name
 };
 
+/// Reused buffers of one `execute` call. The caller seeds `mem` (one entry
+/// per slot) and `present` (one per input port of the routine); `execute`
+/// fills the rest.
+struct Frame {
+  std::vector<std::int64_t> mem;
+  std::vector<std::uint8_t> present;
+  std::vector<std::pair<int, std::int64_t>> emissions;  // (output port, value)
+  long long cycles = 0;
+  int instructions = 0;
+  bool consumed = false;
+};
+
+/// The interpreter loop: executes one reaction of a resolved routine
+/// (`reaction.resolved`) over `frame`. Every index an instruction carries
+/// is checked before use, so corrupt bytecode traps with a CheckError.
+void execute(const CompiledReaction& reaction, const TargetProfile& profile,
+             Frame& frame);
+
 /// Executes one reaction. `mem_init` seeds memory slots by name (unset
-/// slots start at 0); `present` answers RTOS presence queries.
+/// slots start at 0); `present` answers RTOS presence queries (asked once
+/// per input port of the routine).
 RunResult run(const CompiledReaction& reaction, const TargetProfile& profile,
               const std::map<std::string, std::int64_t>& mem_init,
               const std::function<bool(const std::string&)>& present);

@@ -16,9 +16,12 @@
 #include <string>
 #include <vector>
 
+#include "core/synthesis.hpp"
 #include "core/systems.hpp"
 #include "rtos/rtos.hpp"
+#include "rtos/tasks.hpp"
 #include "rtos/trace.hpp"
+#include "vm/isa.hpp"
 
 namespace polis::rtos {
 namespace {
@@ -212,6 +215,94 @@ TEST(RtosCharacterization, LivelockWatchdog) {
                     10800984293903399191ull,
                     "watchdog: livelock — 13 reactions without an external "
                     "output (last task deb at t=6970)"}));
+}
+
+// --- VM-backed tasks -------------------------------------------------------
+// The same trace and configurations with every task the synthesized VM
+// routine (hc11 cycle counts), so the pins also cover the compiled-task
+// path that the benchmarks and polisc run.
+
+Digest run_dash_vm(RtosConfig config) {
+  config.collect_log = true;
+  static const std::shared_ptr<cfsm::Network> net = systems::dash_network();
+  // Only the compiled routines are kept: the synthesis results (and their
+  // BDD managers) go away here, not after the metrics registry at exit.
+  static const auto compiled = [] {
+    SynthesisOptions options;
+    options.num_threads = 1;
+    std::map<std::string, std::shared_ptr<const vm::CompiledReaction>> out;
+    for (const auto& [name, r] :
+         synthesize_network(*net, options).per_instance)
+      out[name] = r.compiled;
+    return out;
+  }();
+  RtosSimulation sim(*net, std::move(config));
+  for (const cfsm::Instance& inst : net->instances())
+    sim.set_task(inst.name,
+                 vm_task(compiled.at(inst.name), vm::hc11_like(),
+                         inst.machine));
+  return digest_of(sim.run(dash_trace()));
+}
+
+TEST(RtosCharacterization, VmRoundRobinInterrupt) {
+  EXPECT_EQ(run_dash_vm(RtosConfig{}),
+            (Digest{120093, 32237, 29515, 536, 15, 62, 50, 2260, 0, false,
+                    9487090489695462254ull, ""}));
+}
+
+TEST(RtosCharacterization, VmPriorityPreemptionPolling) {
+  RtosConfig config;
+  config.policy = RtosConfig::Policy::kStaticPriority;
+  config.preemptive = true;
+  config.priority = dash_priorities();
+  config.delivery = RtosConfig::HwDelivery::kPolling;
+  config.polling_period = 450;
+  EXPECT_EQ(run_dash_vm(config),
+            (Digest{120444, 31635, 40300, 523, 15, 75, 48, 2248, 0, false,
+                    167568523667325177ull, ""}));
+}
+
+TEST(RtosCharacterization, VmIsrExecutedEventsAndChains) {
+  RtosConfig config;
+  config.isr_executed_events = {"wheel_raw", "key_on"};
+  config.chains = {{"deb", "wcnt", "spd", "odo"}, {"ecnt", "tach"}};
+  EXPECT_EQ(run_dash_vm(config),
+            (Digest{120093, 31571, 21730, 533, 15, 61, 44, 2208, 0, false,
+                    2463272714294017371ull, ""}));
+}
+
+TEST(RtosCharacterization, VmHardwareInstances) {
+  RtosConfig config;
+  config.hardware_instances = {"deb", "ecnt"};
+  config.hw_reaction_cycles = 3;
+  EXPECT_EQ(run_dash_vm(config),
+            (Digest{120000, 14525, 17995, 589, 15, 9, 42, 1620, 0, false,
+                    3414188303131923256ull, ""}));
+}
+
+TEST(RtosCharacterization, VmFaultsDropNewAndDeadlineMonitors) {
+  RtosConfig config;
+  config.policy = RtosConfig::Policy::kStaticPriority;
+  config.priority = dash_priorities();
+  config.faults.seed = 7;
+  config.faults.drop_probability = 0.05;
+  config.faults.delay_probability = 0.1;
+  config.faults.max_delay = 400;
+  config.faults.duplicate_probability = 0.05;
+  config.faults.duplicate_gap = 30;
+  config.faults.spike_probability = 0.05;
+  config.faults.spike_cycles = 200;
+  config.faults.exec_jitter = 0.3;
+  config.faults.stalls["wcnt"] = StallFault{0.2, 500};
+  config.overflow_default = OverflowPolicy::kDropNew;
+  config.deadline_monitors["spd"] = {600, DeadlineMonitor::MissAction::kCount};
+  config.deadline_monitors["odo"] = {
+      800, DeadlineMonitor::MissAction::kFlushRestart};
+  config.deadline_monitors["tach"] = {500, DeadlineMonitor::MissAction::kDemote,
+                                      5};
+  EXPECT_EQ(run_dash_vm(config),
+            (Digest{120107, 34837, 41555, 507, 6, 65, 48, 2748, 9, false,
+                    1709739246783292068ull, ""}));
 }
 
 }  // namespace

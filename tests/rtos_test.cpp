@@ -9,6 +9,7 @@
 #include "rtos/tasks.hpp"
 #include "rtos/trace.hpp"
 #include "rtos/vcd.hpp"
+#include "util/check.hpp"
 #include "util/rng.hpp"
 
 namespace polis::rtos {
@@ -375,6 +376,36 @@ TEST(Rtos, HardwareChainCascadesInstantly) {
   EXPECT_EQ(stats.busy_cycles, 0);        // CPU never ran
 }
 
+TEST(Rtos, HardwareCascadeIsDepthFirst) {
+  // A hw fork emits p then q; p fans out to two hw relays. Each emission's
+  // whole cascade completes before the next consumer or emission is served.
+  cfsm::Network net("fan");
+  net.add_instance(
+      "h0",
+      std::make_shared<cfsm::Cfsm>(
+          "fork", std::vector<cfsm::Signal>{{"i", 1}},
+          std::vector<cfsm::Signal>{{"p", 1}, {"q", 1}},
+          std::vector<cfsm::StateVar>{},
+          std::vector<cfsm::Rule>{cfsm::Rule{
+              cfsm::presence("i"),
+              {cfsm::Emit{"p", nullptr}, cfsm::Emit{"q", nullptr}},
+              {}}}),
+      {{"i", "in"}});
+  net.add_instance("h1", relay("r1"), {{"i", "p"}, {"o", "r"}});
+  net.add_instance("h3", relay("r3"), {{"i", "p"}, {"o", "t"}});
+  net.add_instance("h2", relay("r2"), {{"i", "q"}, {"o", "s"}});
+  RtosConfig config;
+  config.hardware_instances = {"h0", "h1", "h2", "h3"};
+  config.collect_log = true;
+  RtosSimulation sim(net, config);
+  for (const char* h : {"h0", "h1", "h2", "h3"}) sim.set_reference_task(h, 1);
+  const SimStats stats = sim.run({{10, "in", 0}});
+  std::string order;
+  for (const LogEvent& e : stats.log)
+    order += std::to_string(e.time) + ":" + e.subject + " ";
+  EXPECT_EQ(order, "10:in 10:h0 11:p 11:h1 12:r 11:h3 12:t 11:q 11:h2 12:s ");
+}
+
 TEST(Rtos, ChainingCutsSchedulingOverhead) {
   // §IV-A: chained executions bypass the RTOS. The two-stage pipeline's
   // end-to-end latency and total overhead drop when the stages are chained.
@@ -472,6 +503,81 @@ TEST(Rtos, VcdExportWellFormed) {
   EXPECT_NE(vcd.find(" out $end"), std::string::npos);  // net wire
   // Timestamps present and the document ends with one.
   EXPECT_NE(vcd.find("\n#"), std::string::npos);
+}
+
+// Every name-keyed RtosConfig field is resolved when the simulation is
+// built; an unknown name is an error that names the field and the name.
+std::string config_error(const RtosConfig& config) {
+  cfsm::Network net("pipe");
+  net.add_instance("a", relay("r1"), {{"i", "in"}, {"o", "mid"}});
+  net.add_instance("b", relay("r2"), {{"i", "mid"}, {"o", "out"}});
+  try {
+    RtosSimulation sim(net, config);
+  } catch (const CheckError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+void expect_rejected(const RtosConfig& config, const std::string& field,
+                     const std::string& name) {
+  const std::string error = config_error(config);
+  EXPECT_NE(error.find("RtosConfig::" + field), std::string::npos) << error;
+  EXPECT_NE(error.find(name), std::string::npos) << error;
+}
+
+TEST(RtosConfigNames, KnownNamesAreAccepted) {
+  RtosConfig config;
+  config.priority = {{"a", 1}, {"b", 2}};
+  config.hardware_instances = {"a"};
+  config.chains = {{"a", "b"}};
+  config.isr_executed_events = {"in"};
+  config.overflow_by_net = {{"mid", OverflowPolicy::kDropNew}};
+  config.deadline_monitors["b"] = DeadlineMonitor{100};
+  config.faults.stalls["b"] = StallFault{0.5, 10};
+  EXPECT_EQ(config_error(config), "");
+}
+
+TEST(RtosConfigNames, UnknownPriorityInstance) {
+  RtosConfig config;
+  config.priority = {{"a", 1}, {"bb", 2}};
+  expect_rejected(config, "priority", "bb");
+}
+
+TEST(RtosConfigNames, UnknownHardwareInstance) {
+  RtosConfig config;
+  config.hardware_instances = {"front"};
+  expect_rejected(config, "hardware_instances", "front");
+}
+
+TEST(RtosConfigNames, UnknownChainMember) {
+  RtosConfig config;
+  config.chains = {{"a", "c"}};
+  expect_rejected(config, "chains", "c");
+}
+
+TEST(RtosConfigNames, UnknownIsrExecutedNet) {
+  RtosConfig config;
+  config.isr_executed_events = {"inn"};
+  expect_rejected(config, "isr_executed_events", "inn");
+}
+
+TEST(RtosConfigNames, UnknownOverflowNet) {
+  RtosConfig config;
+  config.overflow_by_net = {{"middle", OverflowPolicy::kDropNew}};
+  expect_rejected(config, "overflow_by_net", "middle");
+}
+
+TEST(RtosConfigNames, UnknownDeadlineMonitorTask) {
+  RtosConfig config;
+  config.deadline_monitors["z"] = DeadlineMonitor{100};
+  expect_rejected(config, "deadline_monitors", "z");
+}
+
+TEST(RtosConfigNames, UnknownStalledTask) {
+  RtosConfig config;
+  config.faults.stalls["x"] = StallFault{1.0, 10};
+  expect_rejected(config, "faults.stalls", "x");
 }
 
 TEST(RtosCodegen, HeaderAndSchedulerShape) {

@@ -80,5 +80,36 @@ TEST(RtosTimeLimit, LargeTimePastHorizonRunsCleanUnderFaults) {
   EXPECT_EQ(stats.outputs.size(), 2u);
 }
 
+// A cycle of hardware instances (h1: a -> b, h2: b -> a) never hands control
+// back to the main loop: the cascade must run without recursion and stop at
+// the horizon instead of overflowing the stack.
+TEST(RtosTimeLimit, HardwareCycleStopsAtHorizon) {
+  auto relay = [](const std::string& name) {
+    return std::make_shared<cfsm::Cfsm>(
+        name, std::vector<cfsm::Signal>{{"i", 1}},
+        std::vector<cfsm::Signal>{{"o", 1}}, std::vector<cfsm::StateVar>{},
+        std::vector<cfsm::Rule>{
+            cfsm::Rule{cfsm::presence("i"), {cfsm::Emit{"o", nullptr}}, {}}});
+  };
+  cfsm::Network net("loop");
+  net.add_instance("h1", relay("r1"), {{"i", "a"}, {"o", "b"}});
+  net.add_instance("h2", relay("r2"), {{"i", "b"}, {"o", "a"}});
+  RtosConfig config;
+  config.hardware_instances = {"h1", "h2"};
+  RtosSimulation sim(net, config);
+  sim.set_reference_task("h1", 10);
+  sim.set_reference_task("h2", 10);
+
+  constexpr long long kHorizon = 300'000;
+  const SimStats stats = sim.run({{0, "a", 0}}, kHorizon);
+  EXPECT_FALSE(stats.aborted);
+  // One reaction per cycle from t=0 to the horizon; the last emission lands
+  // one hardware reaction later and is left undetected.
+  EXPECT_EQ(stats.reactions_run, kHorizon + 1);
+  EXPECT_LE(stats.end_time, kHorizon + config.hw_reaction_cycles);
+  EXPECT_GE(stats.end_time, kHorizon);
+  EXPECT_EQ(stats.busy_cycles, 0);
+}
+
 }  // namespace
 }  // namespace polis::rtos
