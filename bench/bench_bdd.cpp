@@ -4,6 +4,7 @@
 // operations and of sifting itself.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <iostream>
 
@@ -12,6 +13,7 @@
 #include "cfsm/random.hpp"
 #include "cfsm/reactive.hpp"
 #include "report.hpp"
+#include "util/check.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 
@@ -84,6 +86,22 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
+// Reports the best of 3 repetitions: `run` does one on a fresh manager, writes
+// the same metrics into the entry it gets each time, returns its wall time.
+template <typename Run>
+void report_best_of_3(bench::Report& report, const std::string& name,
+                      double ops, const Run& run) {
+  bench::Report::Entry& entry = report.entry(name);
+  double best = run(entry);
+  for (int rep = 1; rep < 3; ++rep) {
+    bench::Report::Entry again(name);
+    best = std::min(best, run(again));
+    POLIS_CHECK_MSG(again == entry, name << ": repetitions disagree");
+  }
+  entry.metric("wall_seconds", best);
+  if (ops > 0) entry.metric("ops_per_sec", best > 0 ? ops / best : 0.0);
+}
+
 // Fixed-size kernel workloads with wall time, op/s, cache hit rate and peak
 // node counts from BddManager::stats(), written to BENCH_BDD.json so
 // PR-over-PR kernel perf can be diffed mechanically.
@@ -99,107 +117,106 @@ void write_kernel_report() {
   {
     const int n = 32;
     const size_t kIters = 200000;  // two ITEs per iteration
-    bdd::BddManager mgr(n);
     // Workload generation is hoisted out of the timed region: three mt19937
-    // draws per iteration cost as much as the kernel ops themselves, and
-    // ops_per_sec is meant to track kernel throughput (it gates the CI
-    // bench-smoke floor), not libstdc++ distribution overhead. Same seed,
-    // same operand sequence as before — only the timer boundary moved.
+    // draws per iteration cost as much as the kernel ops, and ops_per_sec
+    // (min-gated in bench/baselines/BENCH_BDD.json) tracks kernel throughput.
+    // Every repetition replays the same operand sequence.
     Rng rng(1);
     std::vector<std::uint8_t> picks;
     picks.reserve(3 * kIters);
     for (size_t it = 0; it < 3 * kIters; ++it) {
       picks.push_back(static_cast<std::uint8_t>(rng.uniform(0, n - 1)));
     }
-    std::vector<bdd::Bdd> funcs;
-    for (int i = 0; i < n; ++i) funcs.push_back(mgr.var(i));
-    mgr.reset_stats();
-    const auto t0 = std::chrono::steady_clock::now();
-    for (size_t it = 0; it < kIters; ++it) {
-      const std::uint8_t* p = &picks[3 * it];
-      bdd::Bdd f = funcs[p[0]] & funcs[p[1]];
-      f = f | funcs[p[2]];
-      benchmark::DoNotOptimize(f.raw_index());
-      funcs.push_back(std::move(f));
-      if (funcs.size() > 256) funcs.resize(static_cast<size_t>(n));
-    }
-    const double secs = seconds_since(t0);
-    const bdd::KernelStats s = mgr.stats();
-    report.entry("ite_heavy")
-        .metric("vars", n)
-        .metric("ite_ops", static_cast<std::uint64_t>(2 * kIters))
-        .metric("wall_seconds", secs)
-        .metric("ops_per_sec", secs > 0 ? 2.0 * static_cast<double>(kIters) / secs : 0.0)
-        .metric("cache_hit_rate", s.cache_hit_rate())
-        .metric("cache_lookups", s.cache_lookups)
-        .metric("cache_evictions", s.cache_evictions)
-        .metric("cache_capacity", s.cache_capacity)
-        .metric("unique_hit_rate",
-                s.unique_lookups > 0
-                    ? static_cast<double>(s.unique_hits) /
-                          static_cast<double>(s.unique_lookups)
-                    : 0.0)
-        .metric("peak_nodes", s.peak_nodes)
-        .metric("nodes_recycled", s.nodes_recycled);
+    report_best_of_3(report, "ite_heavy", 2.0 * kIters, [&](auto& entry) {
+      bdd::BddManager mgr(n);
+      std::vector<bdd::Bdd> funcs;
+      for (int i = 0; i < n; ++i) funcs.push_back(mgr.var(i));
+      mgr.reset_stats();
+      const auto t0 = std::chrono::steady_clock::now();
+      for (size_t it = 0; it < kIters; ++it) {
+        const std::uint8_t* p = &picks[3 * it];
+        bdd::Bdd f = funcs[p[0]] & funcs[p[1]];
+        f = f | funcs[p[2]];
+        benchmark::DoNotOptimize(f.raw_index());
+        funcs.push_back(std::move(f));
+        if (funcs.size() > 256) funcs.resize(static_cast<size_t>(n));
+      }
+      const double secs = seconds_since(t0);
+      const bdd::KernelStats s = mgr.stats();
+      entry.metric("vars", n)
+          .metric("ite_ops", static_cast<std::uint64_t>(2 * kIters))
+          .metric("cache_hit_rate", s.cache_hit_rate())
+          .metric("cache_lookups", s.cache_lookups)
+          .metric("cache_evictions", s.cache_evictions)
+          .metric("cache_capacity", s.cache_capacity)
+          .metric("unique_hit_rate",
+                  s.unique_lookups > 0
+                      ? static_cast<double>(s.unique_hits) /
+                            static_cast<double>(s.unique_lookups)
+                      : 0.0)
+          .metric("peak_nodes", s.peak_nodes)
+          .metric("nodes_recycled", s.nodes_recycled);
+      return secs;
+    });
   }
 
   // Quantification over the disjoint-ands family (exercises the cube-based
   // exists path and its cache tag).
   {
     const int k = 8;
-    bdd::BddManager mgr(2 * k);
-    bdd::Bdd f = disjoint_ands(mgr, k);
-    std::vector<int> vars{0, 2, 4, 6};
-    mgr.reset_stats();
     const size_t kIters = 100000;
-    const auto t0 = std::chrono::steady_clock::now();
-    for (size_t it = 0; it < kIters; ++it) {
-      bdd::Bdd g = mgr.smooth(f, vars);
-      benchmark::DoNotOptimize(g.raw_index());
-    }
-    const double secs = seconds_since(t0);
-    const bdd::KernelStats s = mgr.stats();
-    report.entry("smooth")
-        .metric("vars", 2 * k)
-        .metric("ops", kIters)
-        .metric("wall_seconds", secs)
-        .metric("ops_per_sec",
-                secs > 0 ? static_cast<double>(kIters) / secs : 0.0)
-        .metric("cache_hit_rate", s.cache_hit_rate())
-        .metric("peak_nodes", s.peak_nodes);
+    report_best_of_3(report, "smooth", kIters, [&](auto& entry) {
+      bdd::BddManager mgr(2 * k);
+      bdd::Bdd f = disjoint_ands(mgr, k);
+      std::vector<int> vars{0, 2, 4, 6};
+      mgr.reset_stats();
+      const auto t0 = std::chrono::steady_clock::now();
+      for (size_t it = 0; it < kIters; ++it) {
+        bdd::Bdd g = mgr.smooth(f, vars);
+        benchmark::DoNotOptimize(g.raw_index());
+      }
+      const double secs = seconds_since(t0);
+      const bdd::KernelStats s = mgr.stats();
+      entry.metric("vars", 2 * k)
+          .metric("ops", kIters)
+          .metric("cache_hit_rate", s.cache_hit_rate())
+          .metric("peak_nodes", s.peak_nodes);
+      return secs;
+    });
   }
 
   // Sifting on the ordering-sensitive family: wall time of the in-place
   // swap path, plus what the kernel did underneath (GC runs, recycling).
   for (int k : {4, 6, 8}) {
-    bdd::BddManager mgr(2 * k);
-    bdd::Bdd f = disjoint_ands(mgr, k);
-    const size_t before = mgr.node_count(f);
-    mgr.reset_stats();
-    bdd::SiftTelemetry telemetry;
-    bdd::SiftOptions options;
-    options.telemetry = &telemetry;
-    const auto t0 = std::chrono::steady_clock::now();
-    const size_t after = bdd::sift(mgr, options);
-    const double secs = seconds_since(t0);
-    const bdd::KernelStats s = mgr.stats();
-    report.entry("sift_k" + std::to_string(k))
-        .metric("vars", 2 * k)
-        .metric("initial_nodes", before)
-        .metric("sifted_nodes", after)
-        .metric("swaps", telemetry.swaps)
-        .metric("wall_seconds", secs)
-        .metric("gc_runs", s.gc_runs)
-        .metric("nodes_reclaimed", s.nodes_reclaimed)
-        .metric("nodes_recycled", s.nodes_recycled)
-        .metric("peak_nodes", s.peak_nodes);
+    report_best_of_3(report, "sift_k" + std::to_string(k), 0, [k](auto& entry) {
+      bdd::BddManager mgr(2 * k);
+      bdd::Bdd f = disjoint_ands(mgr, k);
+      const size_t before = mgr.node_count(f);
+      mgr.reset_stats();
+      bdd::SiftTelemetry telemetry;
+      bdd::SiftOptions options;
+      options.telemetry = &telemetry;
+      const auto t0 = std::chrono::steady_clock::now();
+      const size_t after = bdd::sift(mgr, options);
+      const double secs = seconds_since(t0);
+      const bdd::KernelStats s = mgr.stats();
+      entry.metric("vars", 2 * k)
+          .metric("initial_nodes", before)
+          .metric("sifted_nodes", after)
+          .metric("swaps", telemetry.swaps)
+          .metric("gc_runs", s.gc_runs)
+          .metric("nodes_reclaimed", s.nodes_reclaimed)
+          .metric("nodes_recycled", s.nodes_recycled)
+          .metric("peak_nodes", s.peak_nodes);
+      return secs;
+    });
   }
 
   // The synthesis flow's constrained sift over a fixed seeded batch of
   // random CFSM χs, sized like the perfbench synthesis machines. The sift_k
   // entries run below bench_diff's noise floor, so this is the entry that
   // gates sift wall time. Only the sift calls are timed.
-  {
+  report_best_of_3(report, "sift_random_cfsm", 0, [](auto& entry) {
     cfsm::RandomCfsmOptions options;
     options.num_inputs = 12;
     options.num_outputs = 4;
@@ -227,13 +244,12 @@ void write_kernel_report() {
       secs += seconds_since(t0);
       swaps += telemetry.swaps;
     }
-    report.entry("sift_random_cfsm")
-        .metric("machines", kMachines)
+    entry.metric("machines", kMachines)
         .metric("initial_nodes", before)
         .metric("sifted_nodes", after)
-        .metric("swaps", swaps)
-        .metric("wall_seconds", secs);
-  }
+        .metric("swaps", swaps);
+    return secs;
+  });
 
   report.capture_phases();
   obs::TraceRecorder::global().set_enabled(false);

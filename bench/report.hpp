@@ -59,6 +59,7 @@ class Report {
       metrics_.emplace_back(key, "\"" + escaped(value) + "\"");
       return *this;
     }
+    bool operator==(const Entry&) const = default;
 
    private:
     friend class Report;

@@ -1,5 +1,7 @@
 #include "core/systems.hpp"
 
+#include <string_view>
+
 #include "systems_rsl.hpp"
 #include "util/check.hpp"
 
@@ -27,6 +29,16 @@ std::shared_ptr<cfsm::Network> network_of(const frontend::ParsedFile& file,
   auto it = file.networks.find(name);
   POLIS_CHECK_MSG(it != file.networks.end(), "missing network " << name);
   return it->second;
+}
+
+// The text of `module <name> { ... }` in `source`, from its header line to
+// the closing brace that starts a line.
+std::string module_source(std::string_view source, const std::string& name) {
+  const size_t begin = source.find("\nmodule " + name + " {");
+  POLIS_CHECK_MSG(begin != std::string_view::npos, "missing module " << name);
+  const size_t end = source.find("\n}\n", begin + 1);
+  POLIS_CHECK_MSG(end != std::string_view::npos, "unterminated module " << name);
+  return std::string(source.substr(begin + 1, end + 2 - begin));
 }
 
 }  // namespace
@@ -75,41 +87,13 @@ std::string generated_dash_source(int channels) {
   std::string out = R"rsl(
 # --- Generated N-channel dashboard (scaling family) ---------------------------
 # N independent wheel-speed chains sharing one sampling timer; emitted by
-# systems::generated_dash_source / tools/gen_dash.
+# systems::generated_dash_source / tools/gen_dash. The modules are those of
+# examples/rsl/dashboard.rsl.
 
-module debounce {
-  input raw;                 # raw sensor pulse
-  input tick;                # sampling timer
-  output clean;              # debounced pulse
-  state cnt : int[4] = 0;
-
-  when present(raw) && cnt < 2  -> { cnt := cnt + 1; }
-  when present(raw) && cnt >= 2 -> { emit clean; cnt := 3; }
-  when !present(raw) && present(tick) -> { cnt := 0; }
-}
-
-module pulse_counter {
-  input pulse;               # debounced pulse
-  input tick;                # window timer
-  output count : int[8];     # pulses in the closed window
-  state n : int[8] = 0;
-
-  when present(tick)                   -> { emit count(n); n := 0; }
-  when present(pulse) && !present(tick) -> { n := n + 1; }
-}
-
-module speedometer {
-  input count : int[8];
-  output pwm : int[16];      # gauge duty cycle
-  state last : int[8] = 0;
-
-  when present(count) && value(count) != last ->
-    { last := value(count); emit pwm(value(count) * 2); }
-  when present(count) && value(count) == last -> { }
-}
-
-network dash_gen {
 )rsl";
+  for (const char* name : {"debounce", "pulse_counter", "speedometer"})
+    out += module_source(rsl::kDashboard, name) + "\n";
+  out += "network dash_gen {\n";
   for (int c = 0; c < channels; ++c) {
     const std::string i = std::to_string(c);
     out += "  instance deb" + i + " : debounce      (raw = raw" + i +

@@ -60,7 +60,8 @@ std::vector<std::shared_ptr<const cfsm::Cfsm>> microwave_modules();
 /// multiplicatively per channel while the cluster count grows linearly
 /// (4 per channel + the timer), which makes the family the scaling axis for
 /// the parallel-verification benchmarks (`bench_verif`) and the
-/// `tools/gen_dash` generator. Requires `channels` >= 1.
+/// `tools/gen_dash` generator. The three modules are sliced out of
+/// examples/rsl/dashboard.rsl, their only copy. Requires `channels` >= 1.
 std::string generated_dash_source(int channels);
 /// Parsed `dash_gen` network of `generated_dash_source(channels)`.
 std::shared_ptr<cfsm::Network> generated_dash_network(int channels);

@@ -181,8 +181,13 @@ RtosSimulation::RtosSimulation(const cfsm::Network& network, RtosConfig config)
     t.instance = &inst;
     tasks_.push_back(std::move(t));
   }
+  // Nets are interned here only: run() resolves stimuli against this set.
   const std::map<std::string, cfsm::Net> nets = network.nets();
-  for (const auto& [name, net] : nets) net_id(name);
+  for (const auto& [name, net] : nets) {
+    net_ids_.emplace(name, static_cast<int>(net_names_.size()));
+    net_names_.push_back(name);
+    routes_.push_back(Route{{}, config_.overflow_default, false});
+  }
 
   // Every name in the config must resolve: a typo is an error, not a
   // silently ignored setting.
@@ -226,9 +231,9 @@ RtosSimulation::RtosSimulation(const cfsm::Network& network, RtosConfig config)
     }
     const cfsm::Cfsm& m = *t.instance->machine;
     for (const cfsm::Signal& in : m.inputs())
-      t.in_net.push_back(net_id(t.instance->net_of(in.name)));
+      t.in_net.push_back(net_ids_.at(t.instance->net_of(in.name)));
     for (const cfsm::Signal& out : m.outputs())
-      t.out_net.push_back(net_id(t.instance->net_of(out.name)));
+      t.out_net.push_back(net_ids_.at(t.instance->net_of(out.name)));
     t.flags.assign(m.inputs().size(), PortFlag{});
     t.incoming = t.frozen = t.flags;
     for (size_t p = 0; p < m.inputs().size(); ++p)
@@ -247,16 +252,44 @@ RtosSimulation::RtosSimulation(const cfsm::Network& network, RtosConfig config)
       r.consumers.emplace_back(ti, static_cast<int>(p));
     }
   }
-}
 
-int RtosSimulation::net_id(const std::string& net) {
-  auto [it, inserted] =
-      net_ids_.emplace(net, static_cast<int>(net_names_.size()));
-  if (inserted) {
-    net_names_.push_back(net);
-    routes_.push_back(Route{{}, config_.overflow_default, false});
+  // A hardware reaction advances simulated time by hw_reaction_cycles. At
+  // zero, a cycle of hardware instances re-triggers itself at one instant,
+  // which the horizon cannot end: reject it here, as a static cycle.
+  POLIS_CHECK_MSG(config_.hw_reaction_cycles >= 0,
+                  "RtosConfig::hw_reaction_cycles is negative ("
+                      << config_.hw_reaction_cycles << ")");
+  if (config_.hw_reaction_cycles == 0) {
+    enum Mark : char { kNew, kOnPath, kDone };
+    std::vector<Mark> mark(tasks_.size(), kNew);
+    std::vector<size_t> path;
+    auto visit = [&](size_t ti, const auto& self) -> void {
+      mark[ti] = kOnPath;
+      path.push_back(ti);
+      for (const int net : tasks_[ti].out_net) {
+        for (const auto& [next, port] :
+             routes_[static_cast<size_t>(net)].consumers) {
+          if (!tasks_[next].hardware || mark[next] == kDone) continue;
+          if (mark[next] == kOnPath) {
+            std::ostringstream cycle;
+            for (auto it = std::find(path.begin(), path.end(), next);
+                 it != path.end(); ++it)
+              cycle << tasks_[*it].name << " -> ";
+            check_failed("false", __FILE__, __LINE__,
+                         "zero-delay hardware cycle " + cycle.str() +
+                             tasks_[next].name + " (network " +
+                             network.name() +
+                             ", RtosConfig::hw_reaction_cycles = 0)");
+          }
+          self(next, self);
+        }
+      }
+      path.pop_back();
+      mark[ti] = kDone;
+    };
+    for (size_t ti = 0; ti < tasks_.size(); ++ti)
+      if (tasks_[ti].hardware && mark[ti] == kNew) visit(ti, visit);
   }
-  return it->second;
 }
 
 RtosSimulation::TaskState& RtosSimulation::task(const std::string& instance) {
@@ -295,13 +328,23 @@ SimStats RtosSimulation::run(const std::vector<ExternalEvent>& events,
     run_span.arg("external_events", events.size());
   }
 
-  // Fault and polling sums add cycles to caller times, and a stimulus at
-  // kInf would read as "no stimulus": keep caller times below the sentinel.
-  for (const ExternalEvent& e : events)
+  // Every stimulus names a net of the network. Fault and polling sums add
+  // cycles to caller times, and a stimulus at kInf would read as "no
+  // stimulus": keep caller times below the sentinel.
+  std::vector<int> event_net;
+  event_net.reserve(events.size());
+  for (const ExternalEvent& e : events) {
+    auto it = net_ids_.find(e.net);
+    POLIS_CHECK_MSG(it != net_ids_.end(),
+                    "external event at t=" << e.time << " on net " << e.net
+                                           << ", which is not in network "
+                                           << network_->name());
     POLIS_CHECK_MSG(e.time < kInf, "external event on net "
                                        << e.net << " at t=" << e.time
                                        << " is not below the time limit "
                                        << kInf);
+    event_net.push_back(it->second);
+  }
 
   struct Delivery {
     long long dtime;   // when the flags are actually set
@@ -328,12 +371,6 @@ SimStats RtosSimulation::run(const std::vector<ExternalEvent>& events,
   auto enabled = [](const TaskState& t) {
     return !t.running && t.present > 0;
   };
-
-  // A stimulus on a net outside the network gets a net id with no
-  // consumers: the environment observes it as an output.
-  std::vector<int> event_net;
-  event_net.reserve(events.size());
-  for (const ExternalEvent& e : events) event_net.push_back(net_id(e.net));
 
   // Per-net and per-task outcomes; the SimStats maps are built at the end.
   const size_t num_nets = net_names_.size();

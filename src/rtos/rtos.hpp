@@ -95,7 +95,8 @@ struct RtosConfig {
   /// Hardware/software partitioning (the co-design dimension, §I-A/§IV-C):
   /// instances in this set are hw-CFSMs — they react immediately at event
   /// delivery, take `hw_reaction_cycles` of wall-clock (not CPU) time, and
-  /// never occupy the processor or the scheduler.
+  /// never occupy the processor or the scheduler. `hw_reaction_cycles` must
+  /// be >= 0, and > 0 when the hardware instances form a cycle.
   std::set<std::string> hardware_instances;
   long long hw_reaction_cycles = 1;
 
@@ -266,6 +267,9 @@ struct SimStats {
 /// are delivered and the system is quiescent (or `horizon` is reached).
 class RtosSimulation {
  public:
+  /// Resolves every name in `config` against `network`; an unknown name, a
+  /// negative `hw_reaction_cycles` or a zero-delay hardware cycle is a
+  /// CheckError naming the offending field or instances.
   RtosSimulation(const cfsm::Network& network, RtosConfig config);
 
   /// Registers the software implementation of one instance (binds
@@ -278,7 +282,8 @@ class RtosSimulation {
 
   /// Hardware cascades (§I-A) run depth-first like the emissions that cause
   /// them, without recursion; a hardware reaction starts only at or before
-  /// `horizon`, so a cycle of hardware instances ends there.
+  /// `horizon`, so a cycle of hardware instances ends there. Every event
+  /// must name a net of the network; an unknown net is a CheckError.
   SimStats run(const std::vector<ExternalEvent>& events,
                long long horizon = 100'000'000);
 
@@ -314,8 +319,6 @@ class RtosSimulation {
   };
 
   TaskState& task(const std::string& instance);
-  /// Dense id of a net, interning a new one (with no consumers) if needed.
-  int net_id(const std::string& net);
 
   const cfsm::Network* network_;
   RtosConfig config_;

@@ -360,20 +360,73 @@ TEST(Rtos, HardwareInstancesReactOffCpu) {
 
 TEST(Rtos, HardwareChainCascadesInstantly) {
   // Two hw stages back to back: the whole chain completes in wall-clock
-  // cycles without touching the scheduler.
+  // cycles without touching the scheduler. Without a cycle, a zero-delay
+  // chain is legal and completes at the stimulus instant.
   cfsm::Network net("hwpipe");
   net.add_instance("h1", relay("r1"), {{"i", "in"}, {"o", "mid"}});
   net.add_instance("h2", relay("r2"), {{"i", "mid"}, {"o", "out"}});
+  for (const long long delay : {2LL, 0LL}) {
+    RtosConfig config;
+    config.hardware_instances = {"h1", "h2"};
+    config.hw_reaction_cycles = delay;
+    RtosSimulation sim(net, config);
+    sim.set_reference_task("h1", 999'999);  // cycle cost ignored in hardware
+    sim.set_reference_task("h2", 999'999);
+    const SimStats stats = sim.run({{100, "in", 0}});
+    ASSERT_EQ(stats.outputs.size(), 1u);
+    EXPECT_EQ(stats.outputs[0].time, 100 + 2 * delay);
+    EXPECT_EQ(stats.busy_cycles, 0);  // CPU never ran
+  }
+}
+
+TEST(Rtos, ZeroDelayHardwareCycleIsRejected) {
+  // h1 and h2 feed each other in hardware: at zero delay the cascade would
+  // never advance simulated time. The run is inside the check so that a
+  // regression hangs into the ctest TIMEOUT instead of passing.
+  cfsm::Network net("hwloop");
+  net.add_instance("h1", relay("r1"), {{"i", "a"}, {"o", "b"}});
+  net.add_instance("h2", relay("r2"), {{"i", "b"}, {"o", "a"}});
   RtosConfig config;
   config.hardware_instances = {"h1", "h2"};
-  config.hw_reaction_cycles = 2;
-  RtosSimulation sim(net, config);
-  sim.set_reference_task("h1", 999'999);  // cycle cost ignored in hardware
-  sim.set_reference_task("h2", 999'999);
-  const SimStats stats = sim.run({{100, "in", 0}});
-  ASSERT_EQ(stats.outputs.size(), 1u);
-  EXPECT_EQ(stats.outputs[0].time, 104);  // 100 + 2 + 2
-  EXPECT_EQ(stats.busy_cycles, 0);        // CPU never ran
+  config.hw_reaction_cycles = 0;
+  std::string error;
+  try {
+    RtosSimulation sim(net, config);
+    sim.set_reference_task("h1", 1);
+    sim.set_reference_task("h2", 1);
+    sim.run({{0, "a", 0}}, 1000);
+  } catch (const CheckError& e) {
+    error = e.what();
+  }
+  EXPECT_NE(error.find("zero-delay hardware cycle"), std::string::npos)
+      << error;
+  EXPECT_NE(error.find("h1 -> h2 -> h1"), std::string::npos) << error;
+}
+
+TEST(Rtos, NegativeHardwareDelayIsRejected) {
+  cfsm::Network net("hwpipe");
+  net.add_instance("h1", relay("r1"), {{"i", "in"}, {"o", "out"}});
+  RtosConfig config;
+  config.hardware_instances = {"h1"};
+  config.hw_reaction_cycles = -1;
+  EXPECT_THROW(RtosSimulation(net, config), CheckError);
+}
+
+TEST(Rtos, StimulusOnUnknownNetIsRejected) {
+  // A typo in a stimulus net ("inn" for "in") fails loudly, naming the net
+  // and the event time, instead of reading as an external output.
+  cfsm::Network net("n");
+  net.add_instance("r", relay("relay"), {{"i", "in"}, {"o", "out"}});
+  RtosSimulation sim(net, RtosConfig{});
+  sim.set_reference_task("r", 100);
+  std::string error;
+  try {
+    sim.run({{0, "in", 0}, {700, "inn", 0}});
+  } catch (const CheckError& e) {
+    error = e.what();
+  }
+  EXPECT_NE(error.find("net inn"), std::string::npos) << error;
+  EXPECT_NE(error.find("t=700"), std::string::npos) << error;
 }
 
 TEST(Rtos, HardwareCascadeIsDepthFirst) {

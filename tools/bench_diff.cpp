@@ -1,6 +1,7 @@
 // bench_diff — CI perf-regression gate over two BENCH_*.json reports
 // (bench/report.hpp shape). Compares a baseline report against a current one
-// and exits nonzero when a *gated* metric regressed past the threshold.
+// and exits nonzero when a *gated* metric regressed past the threshold or a
+// bound in the baseline's "gates" fails. It is the only perf gate in CI.
 //
 // Gating is direction-aware and noise-aware:
 //   * higher-is-better:  *per_sec*, *_rate         (regression = drop)
@@ -14,6 +15,13 @@
 // Entries present in the baseline but missing from the current report fail
 // the gate too — silently dropped coverage must not read as "no regressions".
 //
+// The baseline's optional "gates" add bounds a relative diff cannot express:
+//   "gates": { "min": { "ite_heavy.ops_per_sec": 2.0e7 }, "exact": ["swaps"] }
+// A "min" floor on "<entry>.<metric>" holds whatever the noise floor says; an
+// "exact" metric must equal the baseline in every entry that has it (exit 1
+// otherwise). Another gate kind, or a gate on a metric the baseline lacks,
+// exits 2.
+//
 // Usage:
 //   bench_diff BASELINE.json CURRENT.json
 //              [--threshold FRAC]            gate at |rel change| > FRAC (0.25)
@@ -24,6 +32,7 @@
 #include <fstream>
 #include <iostream>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -39,6 +48,9 @@ struct Report {
   // entry name -> metric name -> value; numeric metrics only.
   std::map<std::string, std::map<std::string, double>> entries;
   std::map<std::string, double> phases;
+  // "gates": "entry.metric" -> floor, and the metrics that must match.
+  std::map<std::string, double> min;
+  std::set<std::string> exact;
 };
 
 [[noreturn]] void die(const std::string& msg) {
@@ -75,24 +87,46 @@ Report load(const std::string& path) {
   if (const Value* phases = doc.find("phases"); phases && phases->is_object())
     for (const auto& [key, v] : phases->object)
       if (v.is_number()) r.phases[key] = v.number;
+  const Value* gates = doc.find("gates");
+  if (!gates) return r;
+  if (!gates->is_object()) die(path + ": \"gates\" is not an object");
+  // Gates may name only metrics the report has: a typo must not void one.
+  std::set<std::string> labels, names;
+  for (const auto& [entry, metrics] : r.entries)
+    for (const auto& [metric, v] : metrics) {
+      labels.insert(entry + "." + metric);
+      names.insert(metric);
+    }
+  for (const auto& [kind, v] : gates->object) {
+    if (kind == "min" && v.is_object()) {
+      for (const auto& [label, floor] : v.object) {
+        if (!floor.is_number() || labels.count(label) == 0)
+          die(path + ": gates.min names no numeric metric: " + label);
+        r.min[label] = floor.number;
+      }
+    } else if (kind == "exact" && v.is_array()) {
+      for (const Value& metric : v.array) {
+        if (names.count(metric.str) == 0)
+          die(path + ": gates.exact names no metric: " + metric.str);
+        r.exact.insert(metric.str);
+      }
+    } else {
+      die(path + ": unknown gate \"" + kind + "\" (want min {} or exact [])");
+    }
+  }
   return r;
 }
 
 bool contains(const std::string& s, const char* needle) {
   return s.find(needle) != std::string::npos;
 }
-bool ends_with(const std::string& s, const char* suffix) {
-  const std::string suf(suffix);
-  return s.size() >= suf.size() &&
-         s.compare(s.size() - suf.size(), suf.size(), suf) == 0;
-}
 
 enum class Direction { kHigherBetter, kLowerBetter, kNeutral };
 
 Direction direction_of(const std::string& metric) {
-  if (contains(metric, "per_sec") || ends_with(metric, "_rate"))
+  if (contains(metric, "per_sec") || metric.ends_with("_rate"))
     return Direction::kHigherBetter;
-  if (contains(metric, "seconds") || ends_with(metric, "_ms") ||
+  if (contains(metric, "seconds") || metric.ends_with("_ms") ||
       contains(metric, "wall"))
     return Direction::kLowerBetter;
   return Direction::kNeutral;
@@ -102,7 +136,7 @@ Direction direction_of(const std::string& metric) {
 /// isn't a timing.
 double as_seconds(const std::string& metric, double value) {
   if (contains(metric, "seconds")) return value;
-  if (ends_with(metric, "_ms")) return value / 1000.0;
+  if (metric.ends_with("_ms")) return value / 1000.0;
   return -1.0;
 }
 
@@ -112,23 +146,48 @@ struct Options {
   bool list_all = false;
 };
 
+void print_row(const std::string& label, double base, double cur, double rel,
+               const char* verdict) {
+  std::printf("%-44s %14.6g %14.6g %+8.1f%%  %s\n", label.c_str(), base, cur,
+              rel * 100.0, verdict);
+}
+
+void print_missing(const std::string& label, const char* verdict) {
+  std::printf("%-44s %14s %14s %9s  %s\n", label.c_str(), "-", "-", "-",
+              verdict);
+}
+
 int run(const Report& base, const Report& cur, const Options& opt) {
-  int regressions = 0;
+  int failures = 0;
   std::printf("%-44s %14s %14s %9s  %s\n", "entry.metric", "baseline",
               "current", "change", "verdict");
   for (const auto& [entry, base_metrics] : base.entries) {
     auto cur_it = cur.entries.find(entry);
     if (cur_it == cur.entries.end()) {
-      std::printf("%-44s %14s %14s %9s  %s\n", entry.c_str(), "-", "-", "-",
-                  "FAIL (entry missing from current report)");
-      ++regressions;
+      print_missing(entry, "FAIL (entry missing from current report)");
+      ++failures;
       continue;
     }
     for (const auto& [metric, base_val] : base_metrics) {
-      auto mv = cur_it->second.find(metric);
-      if (mv == cur_it->second.end()) continue;
-      const double cur_val = mv->second;
       const std::string label = entry + "." + metric;
+      const bool exact = base.exact.count(metric) > 0;
+      const auto floor = base.min.find(label);
+      auto mv = cur_it->second.find(metric);
+      if (mv == cur_it->second.end()) {
+        if (exact || floor != base.min.end()) {
+          print_missing(label, "FAIL (gated metric missing)");
+          ++failures;
+        }
+        continue;
+      }
+      const double cur_val = mv->second;
+      // An absolute floor holds whatever the noise floor says.
+      if (floor != base.min.end() && cur_val < floor->second) {
+        print_row(label, floor->second, cur_val,
+                  (cur_val - floor->second) / std::fabs(floor->second),
+                  "FAIL (below min gate)");
+        ++failures;
+      }
       const double rel =
           base_val == 0.0 ? (cur_val == 0.0 ? 0.0 : HUGE_VAL)
                           : (cur_val - base_val) / std::fabs(base_val);
@@ -136,7 +195,13 @@ int run(const Report& base, const Report& cur, const Options& opt) {
 
       const char* verdict = "ok";
       bool show = opt.list_all;
-      if (dir == Direction::kNeutral) {
+      if (exact) {
+        if (cur_val != base_val) {
+          verdict = "FAIL (exact gate)";
+          show = true;
+          ++failures;
+        }
+      } else if (dir == Direction::kNeutral) {
         if (rel != 0.0) {
           verdict = "info (not gated)";
           show = true;
@@ -144,22 +209,18 @@ int run(const Report& base, const Report& cur, const Options& opt) {
       } else {
         // Noise floor: a timing metric is gated only when either side is at
         // least the floor; a rate metric defers to its entry's wall time.
-        bool gated = true;
-        const double base_s = as_seconds(metric, base_val);
-        const double cur_s = as_seconds(metric, cur_val);
-        if (base_s >= 0.0 &&
-            base_s < opt.noise_floor_seconds &&
-            cur_s < opt.noise_floor_seconds)
-          gated = false;
-        if (dir == Direction::kHigherBetter) {
-          auto base_wall = base_metrics.find("wall_seconds");
-          auto cur_wall = cur_it->second.find("wall_seconds");
-          if (base_wall != base_metrics.end() &&
+        auto quiet = [&](double base_s, double cur_s) {
+          return base_s >= 0.0 && base_s < opt.noise_floor_seconds &&
+                 cur_s < opt.noise_floor_seconds;
+        };
+        auto base_wall = base_metrics.find("wall_seconds");
+        auto cur_wall = cur_it->second.find("wall_seconds");
+        const bool gated =
+            !quiet(as_seconds(metric, base_val), as_seconds(metric, cur_val)) &&
+            !(dir == Direction::kHigherBetter &&
+              base_wall != base_metrics.end() &&
               cur_wall != cur_it->second.end() &&
-              base_wall->second < opt.noise_floor_seconds &&
-              cur_wall->second < opt.noise_floor_seconds)
-            gated = false;
-        }
+              quiet(base_wall->second, cur_wall->second));
         const bool regressed = dir == Direction::kHigherBetter
                                    ? rel < -opt.threshold
                                    : rel > opt.threshold;
@@ -171,23 +232,18 @@ int run(const Report& base, const Report& cur, const Options& opt) {
         } else if (regressed) {
           verdict = "REGRESSION";
           show = true;
-          ++regressions;
+          ++failures;
         } else if (std::fabs(rel) > opt.threshold) {
           verdict = "improved";
           show = true;
         }
       }
-      if (show)
-        std::printf("%-44s %14.6g %14.6g %+8.1f%%  %s\n", label.c_str(),
-                    base_val, cur_val, rel * 100.0, verdict);
+      if (show) print_row(label, base_val, cur_val, rel, verdict);
     }
   }
-  for (const auto& [entry, metrics] : cur.entries) {
-    (void)metrics;
-    if (base.entries.find(entry) == base.entries.end())
-      std::printf("%-44s %14s %14s %9s  %s\n", entry.c_str(), "-", "-", "-",
-                  "new entry (not gated)");
-  }
+  for (const auto& [entry, metrics] : cur.entries)
+    if (base.entries.count(entry) == 0)
+      print_missing(entry, "new entry (not gated)");
   // Phase wall-times are informational: sub-millisecond span totals swing
   // with machine load, and the gated wall_seconds already cover the benches.
   for (const auto& [phase, base_ms] : base.phases) {
@@ -196,18 +252,12 @@ int run(const Report& base, const Report& cur, const Options& opt) {
     const double rel =
         base_ms == 0.0 ? 0.0 : (it->second - base_ms) / base_ms;
     if (opt.list_all || std::fabs(rel) > opt.threshold)
-      std::printf("%-44s %14.6g %14.6g %+8.1f%%  %s\n",
-                  ("phase." + phase).c_str(), base_ms, it->second, rel * 100.0,
-                  "info (not gated)");
+      print_row("phase." + phase, base_ms, it->second, rel, "info (not gated)");
   }
-  if (regressions > 0) {
-    std::printf("\n%d gated regression%s past %.0f%% threshold\n", regressions,
-                regressions == 1 ? "" : "s", opt.threshold * 100.0);
-    return 1;
-  }
-  std::printf("\nno gated regressions (threshold %.0f%%)\n",
-              opt.threshold * 100.0);
-  return 0;
+  std::printf("\n%d gate failure%s (threshold %.0f%%, %zu min gates, %zu exact "
+              "metrics)\n", failures, failures == 1 ? "" : "s",
+              opt.threshold * 100.0, base.min.size(), base.exact.size());
+  return failures > 0 ? 1 : 0;
 }
 
 }  // namespace

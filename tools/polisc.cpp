@@ -8,8 +8,11 @@
 // For a network: synthesizes every instance, emits polis_rt.h, the
 // generated RTOS translation unit and one C file per task, plus a report
 // table — the complete §I-H flow as a tool.
+#include <algorithm>
+#include <cctype>
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
 #include <iostream>
 #include <optional>
 #include <set>
@@ -47,10 +50,12 @@ using namespace polis;
 
 struct Args {
   std::string input;
+  bool help = false;
   bool list = false;
   std::string module;
   std::string network;
-  std::string scheme = "sift";
+  sgraph::OrderingScheme scheme =
+      sgraph::OrderingScheme::kSiftOutputsAfterSupport;
   std::string target = "hc11";
   std::string policy = "rr";
   bool preemptive = false;
@@ -77,9 +82,10 @@ struct Args {
   std::string on_budget = "fail";  // fail | degrade
 };
 
-void usage() {
-  std::cerr <<
+void usage(std::ostream& os) {
+  os <<
       "usage: polisc <input.rsl> [options]\n"
+      "       polisc --help | -h\n"
       "  --list                 list modules and networks in the input\n"
       "  --module NAME          synthesize one module\n"
       "  --network NAME         synthesize a network (tasks + RTOS)\n"
@@ -135,9 +141,49 @@ void usage() {
       "            exceeded, 5 cancelled, 6 internal invariant failure\n";
 }
 
+sgraph::OrderingScheme scheme_of(const std::string& name) {
+  if (name == "naive") return sgraph::OrderingScheme::kNaive;
+  if (name == "sift") return sgraph::OrderingScheme::kSiftOutputsAfterSupport;
+  if (name == "sift-in") return sgraph::OrderingScheme::kSiftOutputsAfterInputs;
+  if (name == "out-first") return sgraph::OrderingScheme::kOutputsBeforeInputs;
+  if (name == "free") return sgraph::OrderingScheme::kFreeOrder;
+  throw std::runtime_error("--scheme must be naive, sift, sift-in, out-first "
+                           "or free (got '" + name + "')");
+}
+
+// `value` when it is one of `allowed`, else a usage error naming `flag`.
+std::string one_of(const std::string& flag, const std::string& value,
+                   std::initializer_list<const char*> allowed) {
+  std::string list;
+  for (const char* a : allowed) {
+    if (value == a) return value;
+    list += std::string(list.empty() ? "" : ", ") + a;
+  }
+  throw std::runtime_error(flag + " must be one of " + list + " (got '" +
+                           value + "')");
+}
+
+// A non-negative integer option value: digits only (no sign, no trailing
+// junk), at most 18 of them so that it fits a long long.
+long long count_of(const std::string& flag, const std::string& value) {
+  const bool digits =
+      !value.empty() && value.size() <= 18 &&
+      std::all_of(value.begin(), value.end(),
+                  [](unsigned char c) { return std::isdigit(c) != 0; });
+  if (!digits)
+    throw std::runtime_error(flag + " needs a non-negative integer (got '" +
+                             value + "')");
+  return std::stoll(value);
+}
+
 bool parse_args(int argc, char** argv, Args& args) {
   if (argc < 2) return false;
-  args.input = argv[1];
+  const std::string first = argv[1];
+  if (first == "--help" || first == "-h") {
+    args.help = true;
+    return true;
+  }
+  args.input = first;
   // Accept both "--opt value" and "--opt=value". Each token remembers the
   // argv spelling it came from so diagnostics can echo what the user typed
   // ("--trce=out.json", not a half of it), and whether it is the value half
@@ -177,20 +223,21 @@ bool parse_args(int argc, char** argv, Args& args) {
       }
       return true;
     };
-    if (a == "--list") { if (!no_value()) return false; args.list = true; }
+    if (a == "--help" || a == "-h") { args.help = true; return true; }
+    else if (a == "--list") { if (!no_value()) return false; args.list = true; }
     else if (a == "--module") args.module = value();
     else if (a == "--network") args.network = value();
-    else if (a == "--scheme") args.scheme = value();
-    else if (a == "--target") args.target = value();
-    else if (a == "--policy") args.policy = value();
+    else if (a == "--scheme") args.scheme = scheme_of(value());
+    else if (a == "--target") args.target = one_of(a, value(), {"hc11", "risc32"});
+    else if (a == "--policy") args.policy = one_of(a, value(), {"rr", "prio"});
     else if (a == "--preemptive") { if (!no_value()) return false; args.preemptive = true; }
     else if (a == "--polling") { if (!no_value()) return false; args.polling = true; }
     else if (a == "--care") { if (!no_value()) return false; args.care = true; }
     else if (a == "--verify") { if (!no_value()) return false; args.verify = true; }
-    else if (a == "--verify-threads") args.verify_threads = std::stoll(value());
+    else if (a == "--verify-threads") args.verify_threads = count_of(a, value());
     else if (a == "--opt-copyin") { if (!no_value()) return false; args.opt_copyin = true; }
     else if (a == "--report") { if (!no_value()) return false; args.report = true; }
-    else if (a == "--simulate") args.simulate = std::stoll(value());
+    else if (a == "--simulate") args.simulate = count_of(a, value());
     else if (a == "--vcd") args.vcd = value();
     else if (a == "--dot") { if (!no_value()) return false; args.dot = true; }
     else if (a == "--out") args.out_dir = value();
@@ -206,46 +253,20 @@ bool parse_args(int argc, char** argv, Args& args) {
     }
     else if (a == "--metrics-out") args.metrics_out = value();
     else if (a == "--metrics-interval-ms")
-      args.metrics_interval_ms = std::stoll(value());
+      args.metrics_interval_ms = count_of(a, value());
     else if (a == "--metrics-prom") args.metrics_prom = value();
-    else if (a == "--deadline-ms") args.deadline_ms = std::stoll(value());
-    else if (a == "--max-nodes") args.max_nodes = std::stoull(value());
-    else if (a == "--max-arena-mb") args.max_arena_mb = std::stoll(value());
-    else if (a == "--on-budget") args.on_budget = value();
+    else if (a == "--deadline-ms") args.deadline_ms = count_of(a, value());
+    else if (a == "--max-nodes")
+      args.max_nodes = static_cast<unsigned long long>(count_of(a, value()));
+    else if (a == "--max-arena-mb") args.max_arena_mb = count_of(a, value());
+    else if (a == "--on-budget")
+      args.on_budget = one_of(a, value(), {"fail", "degrade"});
     else {
       std::cerr << "polisc: unknown option '" << tokens[i].raw << "'\n";
       return false;
     }
   }
-  if (args.on_budget != "fail" && args.on_budget != "degrade") {
-    std::cerr << "polisc: --on-budget must be 'fail' or 'degrade' (got '"
-              << args.on_budget << "')\n";
-    return false;
-  }
-  if (args.verify_threads < 0) {
-    std::cerr << "polisc: --verify-threads must be >= 0 (got "
-              << args.verify_threads << ")\n";
-    return false;
-  }
-  if (args.deadline_ms < 0 || args.max_arena_mb < 0) {
-    std::cerr << "polisc: budgets must be non-negative\n";
-    return false;
-  }
-  if (args.metrics_interval_ms < 0) {
-    std::cerr << "polisc: --metrics-interval-ms must be >= 0 (got "
-              << args.metrics_interval_ms << ")\n";
-    return false;
-  }
   return true;
-}
-
-sgraph::OrderingScheme scheme_of(const std::string& name) {
-  if (name == "naive") return sgraph::OrderingScheme::kNaive;
-  if (name == "sift") return sgraph::OrderingScheme::kSiftOutputsAfterSupport;
-  if (name == "sift-in") return sgraph::OrderingScheme::kSiftOutputsAfterInputs;
-  if (name == "out-first") return sgraph::OrderingScheme::kOutputsBeforeInputs;
-  if (name == "free") return sgraph::OrderingScheme::kFreeOrder;
-  throw std::runtime_error("unknown scheme: " + name);
 }
 
 void write_artifact(const Args& args, const std::string& name,
@@ -277,7 +298,7 @@ SynthesisOptions synthesis_options(const Args& args,
                                    const estim::CostModel& model,
                                    const vm::TargetProfile& target) {
   SynthesisOptions options;
-  options.scheme = scheme_of(args.scheme);
+  options.scheme = args.scheme;
   options.build.use_care_set = args.care;
   options.optimize_copy_in = args.opt_copyin;
   options.target = target;
@@ -619,8 +640,12 @@ int main(int argc, char** argv) {
     args_ok = false;
   }
   if (!args_ok) {
-    usage();
+    usage(std::cerr);
     return kExitUsage;
+  }
+  if (args.help) {
+    usage(std::cout);
+    return 0;
   }
   if (!args.trace_file.empty()) {
     obs::TraceRecorder::global().set_enabled(true);
