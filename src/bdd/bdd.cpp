@@ -353,74 +353,47 @@ KernelStats BddManager::stats() const {
 
 void BddManager::reset_stats() {
   stats_ = KernelStats{};
-  flushed_stats_ = KernelStats{};
+  flushed_ = obs::MirrorState{};
   stats_.peak_nodes = nodes_.size();
   cache_lookups_at_resize_ = 0;
   cache_hits_at_resize_ = 0;
   cache_inserts_at_resize_ = 0;
 }
 
+namespace {
+
+using enum obs::MetricKind;
+using obs::field;
+
+constexpr obs::MirroredMetric<KernelStats> kKernelMetrics[] = {
+    {"bdd.ite_calls", kCounter, field<&KernelStats::ite_calls>},
+    {"bdd.apply_calls", kCounter,
+     [](const KernelStats& s) -> std::uint64_t {
+       return s.and_apply_calls + s.xor_apply_calls;
+     }},
+    {"bdd.cache_lookups", kCounter, field<&KernelStats::cache_lookups>},
+    {"bdd.cache_hits", kCounter, field<&KernelStats::cache_hits>},
+    {"bdd.cache_inserts", kCounter, field<&KernelStats::cache_inserts>},
+    {"bdd.cache_evictions", kCounter, field<&KernelStats::cache_evictions>},
+    {"bdd.cache_resizes", kCounter, field<&KernelStats::cache_resizes>},
+    {"bdd.unique_lookups", kCounter, field<&KernelStats::unique_lookups>},
+    {"bdd.unique_hits", kCounter, field<&KernelStats::unique_hits>},
+    {"bdd.nodes_created", kCounter, field<&KernelStats::nodes_created>},
+    {"bdd.nodes_recycled", kCounter, field<&KernelStats::nodes_recycled>},
+    {"bdd.gc_runs", kCounter, field<&KernelStats::gc_runs>},
+    {"bdd.nodes_reclaimed", kCounter, field<&KernelStats::nodes_reclaimed>},
+    {"bdd.peak_nodes", kMaxGauge, field<&KernelStats::peak_nodes>},
+    // One sample per manager lifetime peak.
+    {"bdd.manager_peak_nodes", kHistogram, field<&KernelStats::peak_nodes>},
+    {"bdd.copy_across_calls", kCounter, field<&KernelStats::copy_across_calls>},
+    {"bdd.copy_nodes", kCounter, field<&KernelStats::copy_nodes>},
+    {"bdd.copy_cache_hits", kCounter, field<&KernelStats::copy_cache_hits>},
+};
+
+}  // namespace
+
 void BddManager::flush_stats_to_obs() {
-  // Ids are registered once per process; updates below are the lock-free
-  // per-thread shard path, so flushing from synthesis worker threads is safe.
-  struct Ids {
-    obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
-    obs::MetricsRegistry::Id ite_calls = reg.counter("bdd.ite_calls");
-    obs::MetricsRegistry::Id apply_calls = reg.counter("bdd.apply_calls");
-    obs::MetricsRegistry::Id cache_lookups = reg.counter("bdd.cache_lookups");
-    obs::MetricsRegistry::Id cache_hits = reg.counter("bdd.cache_hits");
-    obs::MetricsRegistry::Id cache_inserts = reg.counter("bdd.cache_inserts");
-    obs::MetricsRegistry::Id cache_evictions =
-        reg.counter("bdd.cache_evictions");
-    obs::MetricsRegistry::Id cache_resizes = reg.counter("bdd.cache_resizes");
-    obs::MetricsRegistry::Id unique_lookups =
-        reg.counter("bdd.unique_lookups");
-    obs::MetricsRegistry::Id unique_hits = reg.counter("bdd.unique_hits");
-    obs::MetricsRegistry::Id nodes_created = reg.counter("bdd.nodes_created");
-    obs::MetricsRegistry::Id nodes_recycled =
-        reg.counter("bdd.nodes_recycled");
-    obs::MetricsRegistry::Id gc_runs = reg.counter("bdd.gc_runs");
-    obs::MetricsRegistry::Id nodes_reclaimed =
-        reg.counter("bdd.nodes_reclaimed");
-    obs::MetricsRegistry::Id peak_nodes = reg.max_gauge("bdd.peak_nodes");
-    obs::MetricsRegistry::Id peak_hist = reg.histogram("bdd.manager_peak_nodes");
-    obs::MetricsRegistry::Id copy_calls = reg.counter("bdd.copy_across_calls");
-    obs::MetricsRegistry::Id copy_nodes = reg.counter("bdd.copy_nodes");
-    obs::MetricsRegistry::Id copy_hits = reg.counter("bdd.copy_cache_hits");
-  };
-  static const Ids ids;
-  obs::MetricsRegistry& reg = ids.reg;
-  const KernelStats& s = stats_;
-  KernelStats& f = flushed_stats_;
-  auto drain = [&](obs::MetricsRegistry::Id id, std::uint64_t now,
-                   std::uint64_t& last) {
-    if (now > last) reg.add(id, now - last);
-    last = now;
-  };
-  drain(ids.ite_calls, s.ite_calls, f.ite_calls);
-  drain(ids.apply_calls, s.and_apply_calls, f.and_apply_calls);
-  drain(ids.apply_calls, s.xor_apply_calls, f.xor_apply_calls);
-  drain(ids.cache_lookups, s.cache_lookups, f.cache_lookups);
-  drain(ids.cache_hits, s.cache_hits, f.cache_hits);
-  drain(ids.cache_inserts, s.cache_inserts, f.cache_inserts);
-  drain(ids.cache_evictions, s.cache_evictions, f.cache_evictions);
-  drain(ids.cache_resizes, s.cache_resizes, f.cache_resizes);
-  drain(ids.unique_lookups, s.unique_lookups, f.unique_lookups);
-  drain(ids.unique_hits, s.unique_hits, f.unique_hits);
-  drain(ids.nodes_created, s.nodes_created, f.nodes_created);
-  drain(ids.nodes_recycled, s.nodes_recycled, f.nodes_recycled);
-  drain(ids.gc_runs, s.gc_runs, f.gc_runs);
-  drain(ids.nodes_reclaimed, s.nodes_reclaimed, f.nodes_reclaimed);
-  drain(ids.copy_calls, s.copy_across_calls, f.copy_across_calls);
-  drain(ids.copy_nodes, s.copy_nodes, f.copy_nodes);
-  drain(ids.copy_hits, s.copy_cache_hits, f.copy_cache_hits);
-  reg.set(ids.peak_nodes, static_cast<std::int64_t>(s.peak_nodes));
-  if (f.peak_nodes != s.peak_nodes) {
-    // One histogram sample per manager lifetime peak (sampled at the first
-    // flush that observes the final value — later flushes skip duplicates).
-    reg.observe(ids.peak_hist, s.peak_nodes);
-    f.peak_nodes = s.peak_nodes;
-  }
+  obs::drain<kKernelMetrics>(stats_, flushed_);
 }
 
 // --- Core operations -------------------------------------------------------------

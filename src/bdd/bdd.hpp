@@ -63,6 +63,7 @@
 #include <utility>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "util/check.hpp"
 
 namespace polis::bdd {
@@ -369,12 +370,9 @@ class BddManager {
   /// arena size.
   void reset_stats();
 
-  /// Adds everything counted since the last flush into the process-wide
-  /// `obs::MetricsRegistry` under the "bdd.*" names (cache hit counters, GC
-  /// work, peak nodes). Incremental and idempotent — flushing twice adds
-  /// nothing new — and also run by the destructor, so short-lived managers
-  /// (one per CFSM in `synthesize_network`) are never lost from a
-  /// `--metrics` snapshot. The local `stats()` view is unaffected.
+  /// Drains the stats counted since the last flush into the process-wide
+  /// registry ("bdd.*"; flushing twice adds nothing). The destructor flushes
+  /// too, so short-lived managers are never lost from a `--metrics` snapshot.
   void flush_stats_to_obs();
 
   // --- Reordering / memory -----------------------------------------------------
@@ -651,7 +649,7 @@ class BddManager {
   std::uint64_t cache_hits_at_resize_ = 0;
   std::uint64_t cache_inserts_at_resize_ = 0;
   KernelStats stats_;
-  KernelStats flushed_stats_;  // high-water mark of flush_stats_to_obs
+  obs::MirrorState flushed_;  // what flush_stats_to_obs has published
   // Nodes/bytes this manager has charged to the ambient ResourceGovernor
   // (refunded on GC compaction and at destruction, so a governor outliving
   // many managers meters live usage, not cumulative traffic).

@@ -11,34 +11,27 @@ namespace polis::bdd {
 
 namespace {
 
-// Mirrors a finished sift run into the process-wide metrics registry.
-// Called once per `sift` invocation (cheap: a handful of shard adds), so the
-// per-swap hot path carries no observability cost at all.
-void publish_sift_telemetry(const SiftTelemetry& tel) {
-  struct Ids {
-    obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
-    obs::MetricsRegistry::Id runs = reg.counter("sift.runs");
-    obs::MetricsRegistry::Id swaps = reg.counter("sift.swaps");
-    obs::MetricsRegistry::Id evals = reg.counter("sift.size_evaluations");
-    obs::MetricsRegistry::Id passes = reg.counter("sift.passes_run");
-    obs::MetricsRegistry::Id saved = reg.counter("sift.nodes_saved");
-    obs::MetricsRegistry::Id peak = reg.max_gauge("sift.peak_arena");
-    obs::MetricsRegistry::Id shrink = reg.histogram("sift.run_shrink_nodes");
-    obs::MetricsRegistry::Id stopped = reg.counter("sift.stopped_early");
-  };
-  static const Ids ids;
-  obs::MetricsRegistry& reg = ids.reg;
-  reg.add(ids.runs, 1);
-  if (tel.stopped_early) reg.add(ids.stopped, 1);
-  reg.add(ids.swaps, tel.swaps);
-  reg.add(ids.evals, tel.size_evaluations);
-  reg.add(ids.passes, static_cast<std::uint64_t>(tel.passes_run));
-  const std::uint64_t shrunk =
-      tel.initial_size > tel.final_size ? tel.initial_size - tel.final_size : 0;
-  reg.add(ids.saved, shrunk);
-  reg.set(ids.peak, static_cast<std::int64_t>(tel.peak_arena));
-  reg.observe(ids.shrink, shrunk);
+std::uint64_t nodes_saved(const SiftTelemetry& tel) {
+  return tel.initial_size > tel.final_size ? tel.initial_size - tel.final_size
+                                           : 0;
 }
+
+using enum obs::MetricKind;
+using obs::field;
+
+// Published once per `sift` invocation, so the per-swap hot path carries no
+// observability cost at all.
+constexpr obs::MirroredMetric<SiftTelemetry> kSiftMetrics[] = {
+    {"sift.runs", kCounter, obs::one},
+    {"sift.stopped_early", kCounter, field<&SiftTelemetry::stopped_early>},
+    {"sift.swaps", kCounter, field<&SiftTelemetry::swaps>},
+    {"sift.size_evaluations", kCounter,
+     field<&SiftTelemetry::size_evaluations>},
+    {"sift.passes_run", kCounter, field<&SiftTelemetry::passes_run>},
+    {"sift.nodes_saved", kCounter, nodes_saved},
+    {"sift.peak_arena", kMaxGauge, field<&SiftTelemetry::peak_arena>},
+    {"sift.run_shrink_nodes", kHistogram, nodes_saved},
+};
 
 // Legal insertion window [lo, hi] (inclusive, as positions in `order` with
 // `var` removed) given the precedence pairs. Used by the rebuild reference.
@@ -181,7 +174,7 @@ size_t sift(BddManager& mgr,
   tel.initial_size = current;
   tel.final_size = current;
   if (n <= 1) {
-    publish_sift_telemetry(tel);
+    obs::publish<kSiftMetrics>(tel);
     return current;
   }
 
@@ -280,7 +273,7 @@ size_t sift(BddManager& mgr,
     sift_span.arg("swaps", tel.swaps);
     sift_span.arg("passes", tel.passes_run);
   }
-  publish_sift_telemetry(tel);
+  obs::publish<kSiftMetrics>(tel);
   return current;
 }
 

@@ -1,22 +1,33 @@
 // Metrics registry: named counters, gauges and log-linear-bucket histograms
 // with a lock-free fast path. Updates go to a per-thread shard (preallocated
 // arrays of relaxed atomics — no lock, no allocation, no hash lookup once an
-// Id is held); `snapshot` merges the shards under the registry mutex. The
-// layer the pipeline's ad-hoc telemetry structs (`BddManager::stats`,
-// SiftTelemetry, ReachStats, rtos::SimStats) mirror into, so one `--metrics`
-// snapshot covers the whole flow.
+// Id is held); `snapshot` merges the shards under the registry mutex.
 //
-// Concurrency model: registration (name → Id) takes a mutex and is expected
-// at setup time or at coarse flush points; `add`/`set`/`observe` are safe
-// from any thread concurrently with `snapshot`. Counts are monotonic and read
-// with relaxed ordering — a snapshot taken mid-update is a valid (slightly
-// stale) prefix, never torn.
+// Stats mirror: the one path from a subsystem's stats struct (KernelStats,
+// SiftTelemetry, ReachStats, the governor, rtos::SimStats) into the global
+// registry, so one `--metrics` snapshot covers the whole flow. A struct
+// declares its metrics once, as a table of (name, kind, reader), and `drain`
+// applies one rule to every row: a counter adds its growth since the state's
+// last drain (registry counters are cumulative, so flushing twice adds
+// nothing), a gauge sets its value, and a histogram observes its value on the
+// state's first drain and then only when it changed. Long-lived structs keep
+// a `MirrorState` and drain into it as often as they like; per-run structs
+// `publish` against a fresh one.
+//
+// Concurrency model: registration (name → Id) takes a mutex; mirrors
+// register their names once per process from a function-local static, so
+// synthesis worker threads may flush concurrently. `add`/`set`/`observe`
+// (and so a drain) are safe from any thread concurrently with `snapshot`.
+// Counts are monotonic and read with relaxed ordering — a snapshot taken
+// mid-update is a valid (slightly stale) prefix, never torn.
 #pragma once
 
 #include <array>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -24,6 +35,9 @@
 #include <vector>
 
 namespace polis::obs {
+
+// A gauge keeps its last write; a max-gauge is merged by maximum.
+enum class MetricKind { kCounter, kGauge, kMaxGauge, kHistogram };
 
 class MetricsRegistry {
  public:
@@ -64,6 +78,8 @@ class MetricsRegistry {
   /// Gauge merged by maximum across all writes (e.g. peak node counts).
   Id max_gauge(const std::string& name);
   Id histogram(const std::string& name);
+  /// Any of the four above, by kind (the stats mirror's registration path).
+  Id register_named(MetricKind kind, const std::string& name);
 
   // --- Updates (lock-free; Id kind must match the registration) -------------
 
@@ -104,12 +120,7 @@ class MetricsRegistry {
   static std::uint64_t bucket_hi(int bucket);
 
  private:
-  enum class Kind : std::uint32_t {
-    kCounter = 0,
-    kGauge = 1,
-    kMaxGauge = 2,
-    kHistogram = 3
-  };
+  using Kind = MetricKind;
   static constexpr std::uint32_t kKindShift = 28;
   static Kind kind_of(Id id) { return static_cast<Kind>(id >> kKindShift); }
   static std::uint32_t index_of(Id id) {
@@ -135,7 +146,6 @@ class MetricsRegistry {
   };
 
   Shard& local_shard();
-  Id register_named(Kind kind, const std::string& name);
 
   mutable std::mutex mu_;
   // Name → Id per kind (gauge and max_gauge share the gauge index space).
@@ -150,5 +160,63 @@ class MetricsRegistry {
   std::atomic<std::uint64_t> gauge_seq_{0};
   static std::atomic<std::uint64_t> next_uid_;
 };
+
+template <class Stats>
+struct MirroredMetric {
+  const char* name;
+  MetricKind kind;
+  std::uint64_t (*read)(const Stats&);  // current (cumulative) value
+};
+
+/// Readers: a numeric or bool data member, and a count of publishes.
+template <auto Member, class Stats>
+std::uint64_t field(const Stats& stats) {
+  return static_cast<std::uint64_t>(stats.*Member);
+}
+template <class Stats>
+std::uint64_t one(const Stats&) { return 1; }
+
+/// What one stats instance has published so far; value-initialised = none.
+struct MirrorState {
+  static constexpr std::size_t kMaxMetrics = 20;
+  std::array<std::uint64_t, kMaxMetrics> last{};
+  bool drained = false;
+};
+
+/// Publishes what changed in `stats` since `state` was last drained. The
+/// first call registers `Table`'s names (a function-local static).
+template <const auto& Table, class Stats>
+void drain(const Stats& stats, MirrorState& state) {
+  constexpr std::size_t kRows = std::size(Table);
+  static_assert(kRows <= MirrorState::kMaxMetrics);
+  static const std::array<MetricsRegistry::Id, kRows> ids = [] {
+    std::array<MetricsRegistry::Id, kRows> out{};
+    for (std::size_t i = 0; i < kRows; ++i)
+      out[i] = MetricsRegistry::global().register_named(Table[i].kind,
+                                                        Table[i].name);
+    return out;
+  }();
+  MetricsRegistry& reg = MetricsRegistry::global();
+  for (std::size_t i = 0; i < kRows; ++i) {
+    const std::uint64_t now = Table[i].read(stats);
+    std::uint64_t& last = state.last[i];
+    if (Table[i].kind == MetricKind::kCounter) {
+      if (now > last) reg.add(ids[i], now - last);
+    } else if (Table[i].kind == MetricKind::kHistogram) {
+      if (!state.drained || now != last) reg.observe(ids[i], now);
+    } else {
+      reg.set(ids[i], static_cast<std::int64_t>(now));
+    }
+    last = now;
+  }
+  state.drained = true;
+}
+
+/// Publishes a struct that describes one finished run, in full.
+template <const auto& Table, class Stats>
+void publish(const Stats& stats) {
+  MirrorState fresh;
+  drain<Table>(stats, fresh);
+}
 
 }  // namespace polis::obs

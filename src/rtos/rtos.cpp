@@ -18,72 +18,44 @@ namespace polis::rtos {
 namespace {
 constexpr long long kInf = std::numeric_limits<long long>::max() / 4;
 
-struct SimStatIds {
-  obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
-  obs::MetricsRegistry::Id runs = reg.counter("rtos.runs");
-  obs::MetricsRegistry::Id reactions = reg.counter("rtos.reactions_run");
-  obs::MetricsRegistry::Id empty = reg.counter("rtos.empty_reactions");
-  obs::MetricsRegistry::Id busy = reg.counter("rtos.busy_cycles");
-  obs::MetricsRegistry::Id overhead = reg.counter("rtos.overhead_cycles");
-  obs::MetricsRegistry::Id lost = reg.counter("rtos.lost_events");
-  obs::MetricsRegistry::Id misses = reg.counter("rtos.deadline_misses");
-  obs::MetricsRegistry::Id aborted = reg.counter("rtos.aborted_runs");
-  obs::MetricsRegistry::Id watchdog = reg.counter("rtos.watchdog_fires");
-  obs::MetricsRegistry::Id faults = reg.counter("rtos.injected_faults");
-  obs::MetricsRegistry::Id span = reg.histogram("rtos.run_cycles");
-  obs::MetricsRegistry::Id latency = reg.histogram("rtos.latency_cycles");
-};
-const SimStatIds& sim_stat_ids() {
-  static const SimStatIds ids;
-  return ids;
-}
+using enum obs::MetricKind;
+using obs::field;
 
-// How much of the in-flight SimStats has already been mirrored into the
-// registry; the per-epoch publisher drains against this so the end-of-run
-// publish never double-counts.
-struct PublishedSim {
-  long long reactions = 0;
-  long long empty = 0;
-  long long busy = 0;
-  long long overhead = 0;
-  long long lost = 0;
-  long long misses = 0;
-  long long faults = 0;
+// A simulation's running totals: SimStats' counters plus the events lost
+// and deadlines missed so far (SimStats' per-net and per-task maps are built
+// only when the run ends).
+struct SimTotals {
+  const SimStats& stats;
+  long long lost;
+  long long misses;
 };
 
-// Mirrors the monotonic pieces of a (possibly mid-run) SimStats into the
-// registry as deltas since the last publish; `lost` and `misses` are the
-// run's totals so far (its per-net and per-task maps are built only at the
-// end). Called per metrics epoch and once at run end.
-void publish_sim_deltas(const SimStats& stats, long long lost,
-                        long long misses, PublishedSim& pub) {
-  const SimStatIds& ids = sim_stat_ids();
-  obs::MetricsRegistry& reg = ids.reg;
-  auto drain = [&](obs::MetricsRegistry::Id id, long long now,
-                   long long& last) {
-    if (now > last) reg.add(id, static_cast<std::uint64_t>(now - last));
-    last = now;
-  };
-  drain(ids.reactions, stats.reactions_run, pub.reactions);
-  drain(ids.empty, stats.empty_reactions, pub.empty);
-  drain(ids.busy, stats.busy_cycles, pub.busy);
-  drain(ids.overhead, stats.overhead_cycles, pub.overhead);
-  drain(ids.lost, lost, pub.lost);
-  drain(ids.misses, misses, pub.misses);
-  drain(ids.faults, stats.injected.total(), pub.faults);
+template <long long SimStats::*Member>
+std::uint64_t sim(const SimTotals& totals) {
+  return static_cast<std::uint64_t>(totals.stats.*Member);
 }
 
-// End-of-run publish: the remaining deltas plus the once-per-run outcomes.
-void publish_sim_stats(const SimStats& stats, long long lost,
-                       long long misses, PublishedSim& pub) {
-  const SimStatIds& ids = sim_stat_ids();
-  obs::MetricsRegistry& reg = ids.reg;
-  publish_sim_deltas(stats, lost, misses, pub);
-  reg.add(ids.runs, 1);
-  if (stats.aborted) reg.add(ids.aborted, 1);
-  if (stats.watchdog_fired) reg.add(ids.watchdog, 1);
-  reg.observe(ids.span, static_cast<std::uint64_t>(stats.end_time));
-}
+// Drained per metrics epoch and once more when the run ends.
+constexpr obs::MirroredMetric<SimTotals> kSimTotalMetrics[] = {
+    {"rtos.reactions_run", kCounter, sim<&SimStats::reactions_run>},
+    {"rtos.empty_reactions", kCounter, sim<&SimStats::empty_reactions>},
+    {"rtos.busy_cycles", kCounter, sim<&SimStats::busy_cycles>},
+    {"rtos.overhead_cycles", kCounter, sim<&SimStats::overhead_cycles>},
+    {"rtos.lost_events", kCounter, field<&SimTotals::lost>},
+    {"rtos.deadline_misses", kCounter, field<&SimTotals::misses>},
+    {"rtos.injected_faults", kCounter,
+     [](const SimTotals& t) -> std::uint64_t {
+       return static_cast<std::uint64_t>(t.stats.injected.total());
+     }},
+};
+
+// The run's outcome, published once when it ends.
+constexpr obs::MirroredMetric<SimStats> kSimRunMetrics[] = {
+    {"rtos.runs", kCounter, obs::one},
+    {"rtos.aborted_runs", kCounter, field<&SimStats::aborted>},
+    {"rtos.watchdog_fires", kCounter, field<&SimStats::watchdog_fired>},
+    {"rtos.run_cycles", kHistogram, field<&SimStats::end_time>},
+};
 
 // Internal control-flow: a degradation policy or the watchdog terminates
 // the run; caught in run(), never escapes to the caller.
@@ -382,6 +354,8 @@ SimStats RtosSimulation::run(const std::vector<ExternalEvent>& events,
   long long miss_total = 0;
 
   SimStats stats;
+  static const auto latency_id =  // registered by every valid run
+      obs::MetricsRegistry::global().histogram("rtos.latency_cycles");
 
   // Callers test `logging` first, so no subject string is built otherwise.
   const bool logging = config_.collect_log || config_.live_vcd != nullptr;
@@ -614,8 +588,8 @@ SimStats RtosSimulation::run(const std::vector<ExternalEvent>& events,
           ObservedEmission{now, net_names_[n], value, producer_name(producer)});
       latency[n].push_back(now - stimulus);
       if (now >= stimulus)  // lock-free shard path; epoch sketches read this
-        sim_stat_ids().reg.observe(
-            sim_stat_ids().latency, static_cast<std::uint64_t>(now - stimulus));
+        obs::MetricsRegistry::global().observe(
+            latency_id, static_cast<std::uint64_t>(now - stimulus));
       reactions_since_output = 0;
       return;
     }
@@ -917,7 +891,7 @@ SimStats RtosSimulation::run(const std::vector<ExternalEvent>& events,
   // --- Main loop ----------------------------------------------------------------
   // Streaming epochs: one metrics epoch per metrics_epoch_cycles boundary the
   // simulated clock crosses, driven only by deterministic integer state.
-  PublishedSim published;
+  obs::MirrorState published;
   const long long epoch_cycles = config_.metrics_epoch_cycles;
   long long next_epoch = epoch_cycles > 0 ? epoch_cycles : kInf;
 #ifndef POLIS_OBS_DISABLED
@@ -933,7 +907,8 @@ SimStats RtosSimulation::run(const std::vector<ExternalEvent>& events,
       while (now >= next_epoch) {
 #ifndef POLIS_OBS_DISABLED
         if (epochs_on) {
-          publish_sim_deltas(stats, lost_total, miss_total, published);
+          obs::drain<kSimTotalMetrics>(
+              SimTotals{stats, lost_total, miss_total}, published);
           OBS_TICK_EPOCH(obs::Timebase::kSim, next_epoch);
         }
 #endif
@@ -1006,7 +981,9 @@ SimStats RtosSimulation::run(const std::vector<ExternalEvent>& events,
                    static_cast<double>(stats.reactions_run) / wall);
     }
   }
-  publish_sim_stats(stats, lost_total, miss_total, published);
+  obs::drain<kSimTotalMetrics>(SimTotals{stats, lost_total, miss_total},
+                               published);
+  obs::publish<kSimRunMetrics>(stats);
   return stats;
 }
 

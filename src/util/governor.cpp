@@ -58,23 +58,18 @@ void ResourceGovernor::poll_slow() {
   // series (headroom_ms is wall-dependent by nature).
   if (obs::SeriesRecorder::global().enabled()) {
     auto& reg = obs::MetricsRegistry::global();
-    struct Ids {
-      obs::MetricsRegistry::Id nodes, bytes, ms;
-    };
-    static const Ids ids = {
-        obs::MetricsRegistry::global().gauge("governor.headroom_nodes"),
-        obs::MetricsRegistry::global().gauge("governor.headroom_bytes"),
-        obs::MetricsRegistry::global().gauge("governor.headroom_ms"),
-    };
+    static const auto nodes_id = reg.gauge("governor.headroom_nodes");
+    static const auto bytes_id = reg.gauge("governor.headroom_bytes");
+    static const auto ms_id = reg.gauge("governor.headroom_ms");
     if (limits_.max_nodes != 0) {
       const uint64_t used = charged_nodes_.load(std::memory_order_relaxed);
-      reg.set(ids.nodes, used >= limits_.max_nodes
-                             ? 0
-                             : static_cast<int64_t>(limits_.max_nodes - used));
+      reg.set(nodes_id, used >= limits_.max_nodes
+                            ? 0
+                            : static_cast<int64_t>(limits_.max_nodes - used));
     }
     if (limits_.max_arena_bytes != 0) {
       const uint64_t used = charged_bytes_.load(std::memory_order_relaxed);
-      reg.set(ids.bytes,
+      reg.set(bytes_id,
               used >= limits_.max_arena_bytes
                   ? 0
                   : static_cast<int64_t>(limits_.max_arena_bytes - used));
@@ -84,9 +79,9 @@ void ResourceGovernor::poll_slow() {
       const int64_t elapsed_ms =
           std::chrono::duration_cast<std::chrono::milliseconds>(elapsed)
               .count();
-      reg.set(ids.ms, limits_.deadline_ms > elapsed_ms
-                          ? limits_.deadline_ms - elapsed_ms
-                          : 0);
+      reg.set(ms_id, limits_.deadline_ms > elapsed_ms
+                         ? limits_.deadline_ms - elapsed_ms
+                         : 0);
     }
   }
 #endif
@@ -121,6 +116,11 @@ void ResourceGovernor::charge_arena(int64_t nodes, int64_t bytes) {
       charged_bytes_.fetch_add(static_cast<uint64_t>(bytes),
                                std::memory_order_relaxed) +
       static_cast<uint64_t>(bytes);
+  uint64_t peak = peak_charged_nodes_.load(std::memory_order_relaxed);
+  while (nodes > 0 && new_nodes > peak &&
+         !peak_charged_nodes_.compare_exchange_weak(
+             peak, new_nodes, std::memory_order_relaxed)) {
+  }
   if (nodes <= 0 && bytes <= 0) return;
   if (tls_suspended_) return;
   if (limits_.max_nodes != 0 && new_nodes > limits_.max_nodes) {
@@ -178,31 +178,25 @@ void ResourceGovernor::note_degradation(const char* what) {
 #endif
 }
 
+namespace {
+
+using enum obs::MetricKind;
+using Gov = ResourceGovernor;
+
+constexpr obs::MirroredMetric<Gov> kGovernorMetrics[] = {
+    {"governor.polls", kCounter, [](const Gov& g) { return g.polls(); }},
+    {"governor.budget_hits", kCounter,
+     [](const Gov& g) { return g.budget_hits(); }},
+    {"governor.alloc_faults_injected", kCounter,
+     [](const Gov& g) { return g.alloc_faults_injected(); }},
+    {"governor.peak_charged_nodes", kMaxGauge,
+     [](const Gov& g) { return g.peak_charged_nodes(); }},
+};
+
+}  // namespace
+
 void ResourceGovernor::flush_stats_to_obs() const {
-  auto& reg = obs::MetricsRegistry::global();
-  struct Ids {
-    obs::MetricsRegistry::Id polls, budget_hits, alloc_faults, peak_nodes;
-  };
-  static const Ids ids = {
-      reg.counter("governor.polls"),
-      reg.counter("governor.budget_hits"),
-      reg.counter("governor.alloc_faults_injected"),
-      reg.max_gauge("governor.peak_charged_nodes"),
-  };
-  // Counters are cumulative in the registry; report deltas since the last
-  // flush so repeated flushes don't double-count.
-  const uint64_t polls = polls_.load(std::memory_order_relaxed);
-  const uint64_t hits = budget_hits_.load(std::memory_order_relaxed);
-  const uint64_t faults =
-      alloc_faults_injected_.load(std::memory_order_relaxed);
-  reg.add(ids.polls, polls - flushed_polls_);
-  reg.add(ids.budget_hits, hits - flushed_hits_);
-  reg.add(ids.alloc_faults, faults - flushed_faults_);
-  reg.set(ids.peak_nodes,
-          static_cast<int64_t>(charged_nodes_.load(std::memory_order_relaxed)));
-  flushed_polls_ = polls;
-  flushed_hits_ = hits;
-  flushed_faults_ = faults;
+  obs::drain<kGovernorMetrics>(*this, flushed_);
 }
 
 }  // namespace polis

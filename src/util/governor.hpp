@@ -43,6 +43,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "obs/metrics.hpp"
+
 namespace polis {
 
 // --- Error taxonomy ---------------------------------------------------------
@@ -317,6 +319,10 @@ class ResourceGovernor {
   uint64_t charged_nodes() const {
     return charged_nodes_.load(std::memory_order_relaxed);
   }
+  /// High-water mark of charged_nodes() over the governor's lifetime.
+  uint64_t peak_charged_nodes() const {
+    return peak_charged_nodes_.load(std::memory_order_relaxed);
+  }
   uint64_t charged_bytes() const {
     return charged_bytes_.load(std::memory_order_relaxed);
   }
@@ -330,8 +336,9 @@ class ResourceGovernor {
     return alloc_faults_injected_.load(std::memory_order_relaxed);
   }
 
-  /// Flush poll/hit/degradation counters into the obs metrics registry
-  /// (governor.* metrics). Cheap; call once per phase or at exit.
+  /// Flush the poll, budget-hit and injected-fault counters and the peak
+  /// charge into the obs metrics registry (governor.* metrics). Repeated
+  /// flushes add only what changed. Cheap; call once per phase or at exit.
   void flush_stats_to_obs() const;
 
  private:
@@ -352,6 +359,7 @@ class ResourceGovernor {
 
   std::atomic<uint64_t> polls_{0};
   std::atomic<uint64_t> charged_nodes_{0};
+  std::atomic<uint64_t> peak_charged_nodes_{0};
   std::atomic<uint64_t> charged_bytes_{0};
   std::atomic<uint64_t> degradations_{0};
   std::atomic<uint64_t> budget_hits_{0};
@@ -360,11 +368,7 @@ class ResourceGovernor {
   std::atomic<uint64_t> fault_draws_{0};
   std::atomic<uint64_t> alloc_faults_injected_{0};
 
-  // Delta bookkeeping for flush_stats_to_obs (registry counters are
-  // cumulative; repeated flushes report only the increment).
-  mutable uint64_t flushed_polls_ = 0;
-  mutable uint64_t flushed_hits_ = 0;
-  mutable uint64_t flushed_faults_ = 0;
+  mutable obs::MirrorState flushed_;  // what flush_stats_to_obs published
 };
 
 }  // namespace polis

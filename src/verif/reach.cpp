@@ -16,47 +16,37 @@ namespace polis::verif {
 
 namespace {
 
-// Mirrors a finished fixpoint into the global registry (once per run — the
-// per-iteration loop below publishes nothing, only optional spans).
-void publish_reach_stats(const ReachStats& s) {
-  struct Ids {
-    obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
-    obs::MetricsRegistry::Id runs = reg.counter("reach.runs");
-    obs::MetricsRegistry::Id iters = reg.counter("reach.iterations");
-    obs::MetricsRegistry::Id gcs = reg.counter("reach.gc_runs");
-    obs::MetricsRegistry::Id widenings = reg.counter("reach.widenings");
-    obs::MetricsRegistry::Id recoveries = reg.counter("reach.budget_recoveries");
-    obs::MetricsRegistry::Id inexact = reg.counter("reach.inexact_runs");
-    obs::MetricsRegistry::Id unconverged = reg.counter("reach.unconverged_runs");
-    obs::MetricsRegistry::Id peak = reg.max_gauge("reach.peak_live_nodes");
-    obs::MetricsRegistry::Id depth = reg.histogram("reach.fixpoint_depth");
-  };
-  static const Ids ids;
-  obs::MetricsRegistry& reg = ids.reg;
-  reg.add(ids.runs, 1);
-  reg.add(ids.iters, static_cast<std::uint64_t>(s.iterations));
-  reg.add(ids.gcs, s.gc_runs);
-  reg.add(ids.widenings, static_cast<std::uint64_t>(s.widenings));
-  reg.add(ids.recoveries, static_cast<std::uint64_t>(s.budget_recoveries));
-  if (!s.exact) reg.add(ids.inexact, 1);
-  if (!s.converged) reg.add(ids.unconverged, 1);
-  reg.set(ids.peak, static_cast<std::int64_t>(s.peak_live_nodes));
-  reg.observe(ids.depth, static_cast<std::uint64_t>(s.iterations));
-  if (s.shards > 0) {
-    struct ParIds {
-      obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
-      obs::MetricsRegistry::Id shards = reg.max_gauge("reach.shards");
-      obs::MetricsRegistry::Id worker_peak =
-          reg.max_gauge("reach.worker_peak_nodes");
-      obs::MetricsRegistry::Id worker_gcs = reg.counter("reach.worker_gc_runs");
-    };
-    static const ParIds par_ids;
-    reg.set(par_ids.shards, s.shards);
-    for (const std::size_t peak : s.worker_peak_nodes)
-      reg.set(par_ids.worker_peak, static_cast<std::int64_t>(peak));
-    reg.add(par_ids.worker_gcs, s.worker_gc_runs);
-  }
-}
+using enum obs::MetricKind;
+using obs::field;
+
+// Published once per run; the per-iteration loop below publishes nothing
+// unless a series is being recorded.
+constexpr obs::MirroredMetric<ReachStats> kReachMetrics[] = {
+    {"reach.runs", kCounter, obs::one},
+    {"reach.iterations", kCounter, field<&ReachStats::iterations>},
+    {"reach.gc_runs", kCounter, field<&ReachStats::gc_runs>},
+    {"reach.widenings", kCounter, field<&ReachStats::widenings>},
+    {"reach.budget_recoveries", kCounter,
+     field<&ReachStats::budget_recoveries>},
+    {"reach.inexact_runs", kCounter,
+     [](const ReachStats& s) -> std::uint64_t { return !s.exact; }},
+    {"reach.unconverged_runs", kCounter,
+     [](const ReachStats& s) -> std::uint64_t { return !s.converged; }},
+    {"reach.peak_live_nodes", kMaxGauge, field<&ReachStats::peak_live_nodes>},
+    {"reach.fixpoint_depth", kHistogram, field<&ReachStats::iterations>},
+};
+
+// Sharded runs only, so these names appear only after one.
+constexpr obs::MirroredMetric<ReachStats> kShardMetrics[] = {
+    {"reach.shards", kMaxGauge, field<&ReachStats::shards>},
+    {"reach.worker_peak_nodes", kMaxGauge,
+     [](const ReachStats& s) -> std::uint64_t {
+       std::size_t peak = 0;
+       for (const std::size_t p : s.worker_peak_nodes) peak = std::max(peak, p);
+       return peak;
+     }},
+    {"reach.worker_gc_runs", kCounter, field<&ReachStats::worker_gc_runs>},
+};
 
 /// Budget exceeded: existentially smooth the present variable contributing
 /// the most live nodes out of `reached`. Monotone (only enlarges the set),
@@ -247,17 +237,12 @@ ReachResult reachable_states(const TransitionSystem& tr,
       // and the kernel counters drained so each layer's deltas carry the
       // apply/cache activity of that image step. Deterministic: driven only
       // by BFS state, never by the clock.
-      struct LayerIds {
-        obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
-        obs::MetricsRegistry::Id frontier = reg.gauge("reach.frontier_nodes");
-        obs::MetricsRegistry::Id reached = reg.gauge("reach.reached_nodes");
-      };
-      static const LayerIds layer_ids;
-      layer_ids.reg.set(layer_ids.frontier,
-                        static_cast<std::int64_t>(mgr.node_count(frontier)));
-      layer_ids.reg.set(layer_ids.reached,
-                        static_cast<std::int64_t>(
-                            mgr.node_count(result.reached)));
+      obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
+      static const auto frontier_id = reg.gauge("reach.frontier_nodes");
+      static const auto reached_id = reg.gauge("reach.reached_nodes");
+      reg.set(frontier_id, static_cast<std::int64_t>(mgr.node_count(frontier)));
+      reg.set(reached_id,
+              static_cast<std::int64_t>(mgr.node_count(result.reached)));
       mgr.flush_stats_to_obs();
       OBS_TICK_EPOCH(obs::Timebase::kLayer, result.stats.iterations);
     }
@@ -286,7 +271,8 @@ ReachResult reachable_states(const TransitionSystem& tr,
     span.arg("reached_states", result.stats.reached_states);
     span.arg("exact", result.stats.exact);
   }
-  publish_reach_stats(result.stats);
+  obs::publish<kReachMetrics>(result.stats);
+  if (result.stats.shards > 0) obs::publish<kShardMetrics>(result.stats);
   return result;
 }
 

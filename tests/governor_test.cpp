@@ -23,6 +23,7 @@
 #include "bdd/bdd.hpp"
 #include "cfsm/cfsm.hpp"
 #include "core/synthesis.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/atomic_file.hpp"
 #include "util/governor.hpp"
@@ -84,6 +85,29 @@ TEST(Governor, ChargesRefundOnManagerTeardown) {
   }
   // Everything the manager charged is refunded when it dies.
   EXPECT_EQ(gov.charged_nodes(), 0u);
+}
+
+// The exported peak is the high-water mark of the charge, not the charge at
+// flush time: after a full refund it still reports what was once live.
+TEST(Governor, PeakChargedNodesSurvivesRefund) {
+  GovernorLimits limits;
+  limits.max_nodes = 1u << 20;
+  ResourceGovernor gov(limits);
+  ResourceGovernor::Scope scope(&gov);
+  uint64_t charged = 0;
+  {
+    bdd::BddManager mgr(14);
+    bdd::Bdd keep = busy_function(mgr, 14);
+    charged = gov.charged_nodes();
+    EXPECT_GT(charged, 0u);
+    (void)keep;
+  }
+  EXPECT_EQ(gov.charged_nodes(), 0u);
+  gov.flush_stats_to_obs();
+  const auto gauges = obs::MetricsRegistry::global().snapshot().gauges;
+  const auto it = gauges.find("governor.peak_charged_nodes");
+  ASSERT_NE(it, gauges.end());
+  EXPECT_GE(it->second, static_cast<int64_t>(charged));
 }
 
 TEST(Governor, GcRefundsCompactedNodes) {
