@@ -97,7 +97,7 @@ void check_precedence(int num_vars,
 // Variables to sift this pass, fattest level first (the classic heuristic:
 // the fattest level has the most to gain). Variables with no live nodes are
 // dropped: no order can give them any, so sifting them cannot improve size.
-std::vector<int> sift_candidates(BddManager& mgr, const SiftOptions& options) {
+std::vector<int> sift_candidates(BddManager& mgr) {
   const std::vector<size_t> profile = mgr.var_node_profile();
   std::vector<int> vars;
   vars.reserve(profile.size());
@@ -106,8 +106,6 @@ std::vector<int> sift_candidates(BddManager& mgr, const SiftOptions& options) {
   std::stable_sort(vars.begin(), vars.end(), [&](int a, int b) {
     return profile[static_cast<size_t>(a)] > profile[static_cast<size_t>(b)];
   });
-  if (options.max_vars > 0 && static_cast<int>(vars.size()) > options.max_vars)
-    vars.resize(static_cast<size_t>(options.max_vars));
   return vars;
 }
 
@@ -205,7 +203,7 @@ size_t sift(BddManager& mgr,
 
   for (int pass = 0; pass < options.passes && !stopped; ++pass) {
     bool improved_this_pass = false;
-    for (int v : sift_candidates(mgr, options)) {
+    for (int v : sift_candidates(mgr)) {
       OBS_SPAN(var_span, "sift.var", "reorder");
       if (var_span.armed()) var_span.arg("var", v);
 
@@ -295,7 +293,7 @@ size_t sift_by_rebuild(BddManager& mgr,
 
   for (int pass = 0; pass < options.passes; ++pass) {
     bool improved_this_pass = false;
-    for (int v : sift_candidates(mgr, options)) {
+    for (int v : sift_candidates(mgr)) {
       std::vector<int> order = mgr.current_order();
       std::vector<int> without;
       without.reserve(order.size() - 1);

@@ -54,9 +54,6 @@ struct SiftOptions {
   /// Full sweeps over all variables. One pass reproduces the paper's
   /// "single-pass dynamic variable ordering (sift)" (§V-A).
   int passes = 1;
-  /// If >0, only the `max_vars` highest-node-count variables are sifted per
-  /// pass (CUDD-style economy); 0 sifts all.
-  int max_vars = 0;
   /// Cross-check every fast-path size measurement against the
   /// `size_under_order` rebuild oracle, and after every swap check the
   /// incremental live count against `live_node_count()`, the canonical form

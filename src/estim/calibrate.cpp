@@ -47,8 +47,7 @@ vm::Instr mk(vm::Opcode op, int a = 0, int b = 0, int c = 0,
 
 }  // namespace
 
-CostModel calibrate(const vm::TargetProfile& profile,
-                    const CalibrationOptions& options) {
+CostModel calibrate(const vm::TargetProfile& profile) {
   CostModel m;
   m.target_name = profile.name;
 
@@ -144,12 +143,14 @@ CostModel calibrate(const vm::TargetProfile& profile,
   m.int_size = profile.int_size;
 
   // --- Layout statistics fitted on a compiled corpus. ---------------------------
-  Rng rng(options.corpus_seed);
+  constexpr int kCorpusSize = 20;          // sample programs for the fit
+  constexpr std::uint64_t kCorpusSeed = 7;  // deterministic corpus
+  Rng rng(kCorpusSeed);
   long long total_jmps = 0;
   long long total_vertices = 0;
   long long total_brnz = 0;
   long long total_tests = 0;
-  for (int i = 0; i < options.corpus_size; ++i) {
+  for (int i = 0; i < kCorpusSize; ++i) {
     const cfsm::Cfsm machine =
         cfsm::random_cfsm(rng, {}, "cal" + std::to_string(i));
     bdd::BddManager mgr;

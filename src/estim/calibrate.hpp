@@ -11,12 +11,6 @@
 
 namespace polis::estim {
 
-struct CalibrationOptions {
-  int corpus_size = 20;          // sample programs for the layout fit
-  std::uint64_t corpus_seed = 7; // deterministic corpus
-};
-
-CostModel calibrate(const vm::TargetProfile& profile,
-                    const CalibrationOptions& options = {});
+CostModel calibrate(const vm::TargetProfile& profile);
 
 }  // namespace polis::estim

@@ -691,9 +691,10 @@ SimStats RtosSimulation::run(const std::vector<ExternalEvent>& events,
     while (next_delivery < schedule.size() &&
            schedule[next_delivery].dtime <= now) {
       const Delivery& d = schedule[next_delivery++];
-      stats.overhead_cycles += (d.polled ? config_.polling_routine_cycles
-                                         : config_.isr_overhead_cycles) +
-                               d.spike;
+      constexpr long long kPollingRoutineCycles = 60;  // per polled event
+      constexpr long long kIsrOverheadCycles = 25;     // ISR entry + exit
+      stats.overhead_cycles +=
+          (d.polled ? kPollingRoutineCycles : kIsrOverheadCycles) + d.spike;
       deliver(d.net, d.value, d.dtime, d.stimulus, -1);
       const Route& r = routes_[static_cast<size_t>(d.net)];
       if (d.polled || !r.isr_executed) continue;
@@ -881,9 +882,10 @@ SimStats RtosSimulation::run(const std::vector<ExternalEvent>& events,
 
     // §IV-A chaining: run later members of this task's chain that the
     // emissions just enabled, bypassing the scheduler.
+    constexpr long long kChainLinkCycles = 5;  // vs a full context switch
     for (const size_t next : t.chain_next)
       if (runnable[next] && enabled(tasks_[next]))
-        now = self(next, now, config_.chain_link_cycles, self);
+        now = self(next, now, kChainLinkCycles, self);
     check_starvation(now);
     return now;
   };

@@ -52,9 +52,7 @@ struct RtosConfig {
 
   enum class HwDelivery { kInterrupt, kPolling };
   HwDelivery delivery = HwDelivery::kInterrupt;
-  long long isr_overhead_cycles = 25;
   long long polling_period = 2000;
-  long long polling_routine_cycles = 60;
 
   /// Static priorities (lower value = higher priority). Instances absent
   /// from the map default to priority 100, ties broken by declaration order.
@@ -87,10 +85,9 @@ struct RtosConfig {
   /// chain certain executions of CFSMs into a single task, thus reducing
   /// scheduling and communication overhead." When a task in a chain
   /// completes and its emissions enable a *later* member of the same chain,
-  /// that member runs immediately, paying `chain_link_cycles` instead of a
-  /// full context switch.
+  /// that member runs immediately, paying a short chain link (see
+  /// rtos.cpp) instead of a full context switch.
   std::vector<std::vector<std::string>> chains;
-  long long chain_link_cycles = 5;
 
   /// Hardware/software partitioning (the co-design dimension, §I-A/§IV-C):
   /// instances in this set are hw-CFSMs — they react immediately at event

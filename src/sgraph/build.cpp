@@ -242,9 +242,9 @@ bdd::Bdd restricted_chi(cfsm::ReactiveFunction& rf,
                         const BuildOptions& options) {
   bdd::Bdd chi = rf.chi();
   if (!options.use_care_set) return chi;
+  constexpr std::uint64_t kCareEnumLimit = 1u << 22;  // test valuations
   try {
-    if (auto care = rf.reachable_care_set(options.care_enum_limit,
-                                          options.care_filter);
+    if (auto care = rf.reachable_care_set(kCareEnumLimit, options.care_filter);
         care && !care->is_zero()) {
       // Coudert–Madre restrict: minimise χ using the unreachable test
       // valuations (false paths, §III-C) as don't cares.
@@ -364,11 +364,7 @@ Sgraph build_sgraph(cfsm::ReactiveFunction& rf, OrderingScheme scheme,
             scheme == OrderingScheme::kSiftOutputsAfterInputs
                 ? rf.precedence_outputs_after_all_inputs()
                 : rf.precedence_outputs_after_support();
-        bdd::SiftOptions sift_options;
-        sift_options.passes = options.sift_passes;
-        sift_options.max_vars = options.sift_max_vars;
-        sift_options.telemetry = options.sift_telemetry;
-        bdd::sift(mgr, precedence, sift_options);
+        bdd::sift(mgr, precedence);
       } catch (const BudgetExceeded&) {
         ResourceGovernor::degrade_or_rethrow(
             "sift ordering over budget; current order kept");

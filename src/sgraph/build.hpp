@@ -26,7 +26,6 @@
 #include <map>
 #include <vector>
 
-#include "bdd/reorder.hpp"
 #include "cfsm/reactive.hpp"
 #include "sgraph/sgraph.hpp"
 
@@ -51,20 +50,12 @@ const char* to_string(OrderingScheme scheme);
 struct BuildOptions {
   /// Restrict χ to the reachable care set before building, removing false
   /// paths (§III-C). Falls back to no restriction if the concrete space is
-  /// larger than `care_enum_limit`.
+  /// too large to enumerate.
   bool use_care_set = false;
-  std::uint64_t care_enum_limit = 1u << 22;
   /// Optional *global* care filter (network-level reachability from
   /// verif::care_filters_by_machine): concrete combinations it rejects are
   /// added to the don't cares. Only consulted when `use_care_set` is set.
   cfsm::CareFilter care_filter;
-  /// Sifting passes for the sift-based schemes.
-  int sift_passes = 1;
-  /// If >0, only the fattest `sift_max_vars` variables are sifted per pass.
-  int sift_max_vars = 0;
-  /// Optional sink for sift telemetry (swaps, peak arena, per-pass sizes);
-  /// filled only by the sift-based schemes.
-  bdd::SiftTelemetry* sift_telemetry = nullptr;
 };
 
 /// Builds the s-graph for `rf` under `scheme`. Sift-based schemes reorder

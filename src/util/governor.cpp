@@ -10,6 +10,7 @@ namespace polis {
 
 constinit thread_local ResourceGovernor* ResourceGovernor::tls_current_ = nullptr;
 constinit thread_local bool ResourceGovernor::tls_suspended_ = false;
+constinit thread_local uint32_t ResourceGovernor::tls_poll_countdown_ = 0;
 
 namespace {
 
@@ -140,9 +141,6 @@ void ResourceGovernor::charge_arena(int64_t nodes, int64_t bytes) {
 void ResourceGovernor::draw_alloc_fault(const char* site) {
   if (!fault_plan_.enabled() || tls_suspended_) return;
   const uint64_t draw = fault_draws_.fetch_add(1, std::memory_order_relaxed);
-  if (alloc_faults_injected_.load(std::memory_order_relaxed) >=
-      fault_plan_.max_failures)
-    return;
   bool fail = false;
   if (fault_plan_.fail_first_n > 0 && draw >= fault_plan_.fail_after &&
       draw < fault_plan_.fail_after + fault_plan_.fail_first_n)

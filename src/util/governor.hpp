@@ -137,7 +137,6 @@ struct AllocFaultPlan {
   double probability = 0.0;  ///< chance each draw fails
   uint64_t fail_after = 0;   ///< draws before deterministic failures start
   uint64_t fail_first_n = 0; ///< number of deterministic failures injected
-  uint64_t max_failures = ~0ull;
 
   bool enabled() const { return probability > 0.0 || fail_first_n > 0; }
 };
@@ -191,18 +190,25 @@ class ResourceGovernor {
   static ResourceGovernor* current() { return tls_current_; }
 
   /// RAII installer for the ambient governor. Nests; restores the previous
-  /// governor on destruction.
+  /// governor on destruction. The poll countdown restarts inside the scope
+  /// and is restored after it: a scope's polls depend only on its calls.
   class Scope {
    public:
-    explicit Scope(ResourceGovernor* gov) : prev_(tls_current_) {
+    explicit Scope(ResourceGovernor* gov)
+        : prev_(tls_current_), prev_countdown_(tls_poll_countdown_) {
       tls_current_ = gov;
+      tls_poll_countdown_ = 0;
     }
-    ~Scope() { tls_current_ = prev_; }
+    ~Scope() {
+      tls_current_ = prev_;
+      tls_poll_countdown_ = prev_countdown_;
+    }
     Scope(const Scope&) = delete;
     Scope& operator=(const Scope&) = delete;
 
    private:
     ResourceGovernor* prev_;
+    uint32_t prev_countdown_;
   };
 
   /// RAII guard that makes throwing polls no-ops on this thread while alive.
@@ -236,8 +242,7 @@ class ResourceGovernor {
   /// contend on one governor), a real check every `kPollStride` calls. The
   /// single call site to sprinkle into hot loops.
   static void poll_current() {
-    thread_local uint32_t countdown = 0;
-    if (++countdown & (kPollStride - 1)) return;
+    if (++tls_poll_countdown_ & (kPollStride - 1)) return;
     if (ResourceGovernor* g = tls_current_) g->poll();
   }
 
@@ -351,6 +356,7 @@ class ResourceGovernor {
   // weak-symbol init test also false-positives GCC's -fsanitize=null).
   static constinit thread_local ResourceGovernor* tls_current_;
   static constinit thread_local bool tls_suspended_;
+  static constinit thread_local uint32_t tls_poll_countdown_;
 
   GovernorLimits limits_;
   CancellationToken token_;

@@ -93,7 +93,7 @@ ReachResult reachable_states(const TransitionSystem& tr,
     result.reached = enc.initial_set();
   }
   bdd::Bdd frontier = result.reached;
-  if (options.keep_layers) result.layers.push_back(frontier);
+  result.layers.push_back(frontier);
   result.stats.peak_live_nodes = mgr.live_node_count();
 
   // Parallel image engine: sharded per-cluster images on private worker
@@ -102,8 +102,7 @@ ReachResult reachable_states(const TransitionSystem& tr,
   // everything downstream — layers, verdicts, counterexamples — is
   // bit-identical at every thread count.
   // Degradation ladder: in degrade mode a governor node/byte/allocation
-  // trip mid-image falls back to the same widening the static node_budget
-  // uses (the set only grows, so an empty bad-intersection still proves
+  // trip mid-image falls back to widening (the set only grows, so an empty bad-intersection still proves
   // safety); a deadline or cancellation ends the run honestly non-converged
   // (the reached set UNDERapproximates — `converged` gates every kProved
   // downstream). In fail mode governor errors propagate.
@@ -136,11 +135,6 @@ ReachResult reachable_states(const TransitionSystem& tr,
   };
 
   while (!frontier.is_zero()) {
-    if (options.max_iterations > 0 &&
-        result.stats.iterations >= options.max_iterations) {
-      stop_unconverged();
-      break;
-    }
     if (gov != nullptr) {
       if (!degrade) {
         gov->poll();  // fail mode: throws past deadline / on cancel
@@ -202,19 +196,7 @@ ReachResult reachable_states(const TransitionSystem& tr,
         result.stats.worker_gc_runs += par->collect_garbage(1);
       continue;
     }
-    if (options.keep_layers && !frontier.is_zero())
-      result.layers.push_back(frontier);
-
-    if (options.node_budget > 0 &&
-        mgr.node_count(result.reached) > options.node_budget) {
-      result.reached = widen(enc, result.reached);
-      // The overapproximated set has no meaningful BFS structure: restart
-      // the frontier from the whole set and drop the layers.
-      frontier = result.reached;
-      result.layers.clear();
-      result.stats.exact = false;
-      ++result.stats.widenings;
-    }
+    if (!frontier.is_zero()) result.layers.push_back(frontier);
 
     result.stats.peak_live_nodes =
         std::max(result.stats.peak_live_nodes, mgr.live_node_count());

@@ -1,11 +1,10 @@
 // BDD reachability fixpoint over the partitioned transition relation:
 // forward image iteration with frontier-vs-accumulated sets, per-iteration
-// telemetry, in-fixpoint garbage collection, and a node budget that degrades
-// gracefully to an overapproximation (existentially smoothing the fattest
-// state bits) instead of failing.
+// telemetry and in-fixpoint garbage collection.
 //
 // Under an ambient ResourceGovernor whose policy is kDegrade, a governor
-// node/byte/allocation trip mid-fixpoint also falls back to widening, and a
+// node/byte/allocation trip mid-fixpoint degrades gracefully to an
+// overapproximation (existentially smoothing the fattest state bits), and a
 // deadline or cancellation stops the iteration with `converged == false`
 // (underapproximation — verdicts become kUnknown). Under kFail, governor
 // errors propagate and fail the run.
@@ -21,9 +20,6 @@
 namespace polis::verif {
 
 struct ReachOptions {
-  /// Cap on the node count of the reached set; exceeding it triggers
-  /// widening (overapproximation, `exact` turns false). 0 = unlimited.
-  std::size_t node_budget = 0;
   /// Run BddManager::garbage_collect between iterations once the unique
   /// table holds more than this many nodes. 0 = never collect. The default
   /// is deliberately generous (8 Mi nodes ≈ 128 MiB of arena): every
@@ -38,10 +34,6 @@ struct ReachOptions {
   /// partial images are merged deterministically on the main manager.
   /// 0 = one worker per hardware thread.
   int num_threads = 1;
-  /// Iteration cap; exceeding it stops with `exact == false`. 0 = none.
-  int max_iterations = 0;
-  /// Keep the BFS onion layers (needed for counterexample extraction).
-  bool keep_layers = true;
 };
 
 struct ReachStats {
@@ -59,8 +51,8 @@ struct ReachStats {
   bool exact = true;
   /// True iff the fixpoint ran until the frontier emptied. A widened run is
   /// converged-but-inexact: `reached` OVERapproximates, so an empty bad
-  /// intersection still proves safety. A non-converged run (iteration cap,
-  /// deadline, cancellation) leaves an UNDERapproximation — nothing can be
+  /// intersection still proves safety. A non-converged run (deadline,
+  /// cancellation, nothing left to widen) leaves an UNDERapproximation — nothing can be
   /// proved from it, only found (verdicts degrade to kUnknown).
   bool converged = true;
 };
@@ -68,7 +60,8 @@ struct ReachStats {
 struct ReachResult {
   bdd::Bdd reached;
   /// layers[k] = states first reached after exactly k steps (layers[0] is
-  /// the initial state). Empty when not kept or after widening.
+  /// the initial state); counterexample extraction walks them. Empty after
+  /// widening or a non-converged stop.
   std::vector<bdd::Bdd> layers;
   ReachStats stats;
 };

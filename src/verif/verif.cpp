@@ -27,7 +27,7 @@ VerifyResult verify_network(const cfsm::Network& network,
       OBS_SPAN(stage, "verif.check_assertions", "verif");
       result.assertions = check_assertions(tr, reach, options.enum_limit);
     }
-    if (options.check_lost_events) {
+    {
       OBS_SPAN(stage, "verif.check_lost_events", "verif");
       result.lost_events = check_no_lost_events(tr, reach);
     }

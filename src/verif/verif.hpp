@@ -24,8 +24,6 @@ struct VerifyOptions {
   ReachOptions reach;
   /// Local-enumeration cap for properties and care-filter extraction.
   std::uint64_t enum_limit = 1u << 20;
-  /// Check the built-in "no event is ever lost" property.
-  bool check_lost_events = true;
   /// Extract per-machine care filters from the reached set.
   bool extract_care = true;
 };

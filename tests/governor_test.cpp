@@ -160,6 +160,19 @@ TEST(Governor, PollCurrentWithoutGovernorIsANoop) {
   for (int i = 0; i < 1024; ++i) ResourceGovernor::poll_current();
 }
 
+TEST(Governor, ScopeRestartsThePollCountdown) {
+  // governor.polls must not depend on what a pool thread ran before: the
+  // 200 calls in the scope stay under one stride whatever came earlier. A
+  // fresh thread pins the countdown's starting point at 0.
+  ResourceGovernor gov;
+  std::thread([&] {
+    for (int i = 0; i < 100; ++i) ResourceGovernor::poll_current();
+    ResourceGovernor::Scope scope(&gov);
+    for (int i = 0; i < 200; ++i) ResourceGovernor::poll_current();
+  }).join();
+  EXPECT_EQ(gov.polls(), 0u);
+}
+
 TEST(Governor, NodeBudgetTripIsDeterministic) {
   // Same operation sequence + same budget ⇒ the trip happens at the same
   // charge count. This is what makes degraded outputs byte-identical.

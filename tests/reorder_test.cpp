@@ -135,18 +135,6 @@ TEST(Sift, SingleVariableTrivial) {
   EXPECT_NO_THROW(sift(mgr));
 }
 
-TEST(Sift, MaxVarsLimitsWork) {
-  const int k = 4;
-  BddManager mgr(2 * k);
-  Bdd f = mgr.zero();
-  for (int i = 0; i < k; ++i) f = f | (mgr.var(i) & mgr.var(i + k));
-  SiftOptions options;
-  options.max_vars = 2;
-  const size_t before = mgr.node_count(f);
-  const size_t after = sift(mgr, {}, options);
-  EXPECT_LE(after, before);
-}
-
 TEST(Sift, FastPathMatchesRebuildReference) {
   // Build the same functions in two managers; the swap-based path and the
   // rebuild-per-candidate reference must land on the same final order and

@@ -22,11 +22,7 @@
 // otherwise). Another gate kind, or a gate on a metric the baseline lacks,
 // exits 2.
 //
-// Usage:
-//   bench_diff BASELINE.json CURRENT.json
-//              [--threshold FRAC]            gate at |rel change| > FRAC (0.25)
-//              [--noise-floor-seconds SEC]   skip timings under SEC (0.005)
-//              [--list-all]                  print unchanged metrics too
+// `bench_diff --help` lists the options.
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -37,6 +33,7 @@
 #include <string>
 #include <vector>
 
+#include "cli.hpp"
 #include "obs/json.hpp"
 
 namespace {
@@ -263,32 +260,20 @@ int run(const Report& base, const Report& cur, const Options& opt) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::vector<std::string> paths;
+  std::string base_path, cur_path;
   Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    auto value = [&]() -> std::string {
-      if (i + 1 >= argc) die("missing value for " + a);
-      return argv[++i];
-    };
-    if (a == "--threshold")
-      opt.threshold = std::stod(value());
-    else if (a == "--noise-floor-seconds")
-      opt.noise_floor_seconds = std::stod(value());
-    else if (a == "--list-all")
-      opt.list_all = true;
-    else if (!a.empty() && a[0] == '-')
-      die("unknown option " + a +
-          "\nusage: bench_diff BASELINE.json CURRENT.json [--threshold FRAC] "
-          "[--noise-floor-seconds SEC] [--list-all]");
-    else
-      paths.push_back(a);
-  }
-  if (paths.size() != 2)
-    die("expected exactly two report paths (baseline, current)");
-  if (opt.threshold <= 0.0) die("--threshold must be positive");
-  const Report base = load(paths[0]);
-  const Report cur = load(paths[1]);
+  namespace cli = polis::cli;
+  cli::parse("bench_diff", {
+      cli::text("", &base_path, "BASELINE.json", "the baseline report"),
+      cli::text("", &cur_path, "CURRENT.json", "the report to gate"),
+      cli::real("--threshold", &opt.threshold, 0.0, true, "FRAC",
+                "gate at |relative change| > FRAC"),
+      cli::real("--noise-floor-seconds", &opt.noise_floor_seconds, 0.0, false,
+                "SEC", "never gate timings under SEC"),
+      cli::flag("--list-all", &opt.list_all, "print unchanged metrics too"),
+  }, argc, argv);
+  const Report base = load(base_path);
+  const Report cur = load(cur_path);
   if (!base.bench.empty() && !cur.bench.empty() && base.bench != cur.bench)
     std::cerr << "bench_diff: warning: comparing different benches (\""
               << base.bench << "\" vs \"" << cur.bench << "\")\n";

@@ -7,38 +7,23 @@
 //
 //   gen_dash 3 > three.rsl
 //   polisc three.rsl --network dash_gen --verify --verify-threads=4
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <string>
 
+#include "cli.hpp"
 #include "core/systems.hpp"
 
 int main(int argc, char** argv) {
   int channels = 0;
   std::string out_file;
-  bool usage_error = argc < 2;
-  for (int i = 1; i < argc && !usage_error; ++i) {
-    const std::string a = argv[i];
-    if (a == "--out") {
-      if (i + 1 >= argc) {
-        usage_error = true;
-        break;
-      }
-      out_file = argv[++i];
-    } else if (channels == 0 && !a.empty() && a[0] != '-') {
-      channels = std::atoi(a.c_str());
-      if (channels < 1) usage_error = true;
-    } else {
-      usage_error = true;
-    }
-  }
-  if (usage_error || channels < 1) {
-    std::cerr << "usage: gen_dash N [--out FILE]\n"
-                 "  N      number of wheel-speed channels (>= 1)\n"
-                 "  --out  write the RSL source to FILE instead of stdout\n";
-    return 2;
-  }
+  namespace cli = polis::cli;
+  cli::parse("gen_dash", {
+      cli::count("", &channels, 1, std::numeric_limits<int>::max(), "N",
+                 "number of wheel-speed channels"),
+      cli::text("--out", &out_file, "FILE", "write to FILE, not stdout"),
+  }, argc, argv);
   const std::string src = polis::systems::generated_dash_source(channels);
   if (out_file.empty()) {
     std::cout << src;

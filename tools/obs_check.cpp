@@ -2,30 +2,28 @@
 // `--metrics`), run from ctest and the CI obs-smoke job right after a polisc
 // invocation. Uses the layer's own strict JSON reader, so a file that loads
 // here also loads in Perfetto / chrome://tracing (trace) and in any JSON
-// consumer (metrics).
+// consumer (metrics). `obs_check --help` lists the options.
 //
-//   obs_check [--trace FILE [--require-span NAME]... [--require-nested]
-//                           [--require-sim-lanes]]
-//             [--metrics FILE [--require-metric NAME]...]
-//             [--series FILE [--require-epochs N] [--require-clock NAME]]
-//             [--prom FILE]
-//
-// --series validates a streaming JSONL export (`polisc --metrics-out`): every
+// A series file is a streaming JSONL export (`polisc --metrics-out`): every
 // line must be a standalone JSON object with integral epoch/ts, a known
 // clock, and well-formed counter/gauge/histogram-summary maps; epochs must
-// count up per clock. --prom validates Prometheus text exposition line by
+// count up per clock. A Prometheus text exposition is validated line by
 // line (TYPE comments, name charset, numeric values).
 //
 // Exit status 0 when every file parses and every requirement holds; 1 with
 // one diagnostic per failure on stderr otherwise.
+#include <cerrno>
 #include <cstdint>
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "cli.hpp"
 #include "obs/json.hpp"
 
 namespace {
@@ -316,13 +314,10 @@ bool prom_name_ok(const std::string& s) {
 
 bool number_ok(const std::string& s) {
   if (s.empty()) return false;
-  try {
-    size_t used = 0;
-    (void)std::stod(s, &used);
-    return used == s.size();
-  } catch (const std::exception&) {
-    return false;
-  }
+  char* end = nullptr;
+  errno = 0;
+  (void)std::strtod(s.c_str(), &end);
+  return errno != ERANGE && end == s.c_str() + s.size();
 }
 
 void check_prometheus(const std::string& path) {
@@ -383,51 +378,32 @@ void check_prometheus(const std::string& path) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::vector<std::string> args(argv + 1, argv + argc);
-  std::string trace_file;
-  std::string metrics_file;
-  std::string series_file;
-  std::string prom_file;
-  std::vector<std::string> spans;
-  std::vector<std::string> metrics;
-  bool want_nested = false;
-  bool want_sim_lanes = false;
+  std::string trace_file, metrics_file, series_file, prom_file;
+  std::vector<std::string> spans, metrics;
+  bool want_nested = false, want_sim_lanes = false;
   std::int64_t require_epochs = 0;
   std::string require_clock;
-
-  for (size_t i = 0; i < args.size(); ++i) {
-    const std::string& a = args[i];
-    auto value = [&]() -> std::string {
-      if (i + 1 >= args.size()) {
-        std::cerr << "obs_check: " << a << " needs a value\n";
-        std::exit(2);
-      }
-      return args[++i];
-    };
-    if (a == "--trace") trace_file = value();
-    else if (a == "--metrics") metrics_file = value();
-    else if (a == "--series") series_file = value();
-    else if (a == "--prom") prom_file = value();
-    else if (a == "--require-span") spans.push_back(value());
-    else if (a == "--require-metric") metrics.push_back(value());
-    else if (a == "--require-nested") want_nested = true;
-    else if (a == "--require-sim-lanes") want_sim_lanes = true;
-    else if (a == "--require-epochs") require_epochs = std::stoll(value());
-    else if (a == "--require-clock") require_clock = value();
-    else {
-      std::cerr << "obs_check: unknown argument " << a << "\n";
-      return 2;
-    }
-  }
+  namespace cli = polis::cli;
+  cli::parse("obs_check", {
+      cli::text("--trace", &trace_file, "FILE", "check a Chrome trace"),
+      cli::texts("--require-span", &spans, "NAME", "trace has span NAME"),
+      cli::flag("--require-nested", &want_nested, "trace has nested spans"),
+      cli::flag("--require-sim-lanes", &want_sim_lanes,
+                "trace has simulated-cycle lanes"),
+      cli::text("--metrics", &metrics_file, "FILE", "check a JSON snapshot"),
+      cli::texts("--require-metric", &metrics, "NAME",
+                 "snapshot has metric NAME"),
+      cli::text("--series", &series_file, "FILE", "check a JSONL series"),
+      cli::count("--require-epochs", &require_epochs, 0,
+                 std::numeric_limits<std::int64_t>::max(), "N",
+                 "series has >= N epochs"),
+      cli::text("--require-clock", &require_clock, "NAME",
+                "count (and require) epochs on clock NAME"),
+      cli::text("--prom", &prom_file, "FILE", "check a Prometheus exposition"),
+  }, argc, argv);
   if (trace_file.empty() && metrics_file.empty() && series_file.empty() &&
-      prom_file.empty()) {
-    std::cerr << "usage: obs_check [--trace FILE [--require-span NAME]... "
-                 "[--require-nested] [--require-sim-lanes]] "
-                 "[--metrics FILE [--require-metric NAME]...] "
-                 "[--series FILE [--require-epochs N] [--require-clock NAME]] "
-                 "[--prom FILE]\n";
-    return 2;
-  }
+      prom_file.empty())
+    cli::usage_error("obs_check", "nothing to check");
 
   if (!trace_file.empty()) {
     const std::string text = slurp(trace_file);

@@ -1,25 +1,22 @@
-// polisc — the command-line front door of the synthesis flow.
-//
-//   polisc input.rsl --list
-//   polisc input.rsl --module simple --report
-//   polisc input.rsl --network dash --out gen/ --policy prio --preemptive
+// polisc — the command-line front door of the synthesis flow. Its flags are
+// the rows of the option table in parse_args; `polisc --help` prints them.
 //
 // For a module: prints (or writes) the synthesized C and a cost report.
 // For a network: synthesizes every instance, emits polis_rt.h, the
 // generated RTOS translation unit and one C file per task, plus a report
 // table — the complete §I-H flow as a tool.
 #include <algorithm>
-#include <cctype>
 #include <filesystem>
 #include <fstream>
-#include <initializer_list>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "cli.hpp"
 #include "codegen/c_codegen.hpp"
 #include "core/synthesis.hpp"
 #include "estim/calibrate.hpp"
@@ -48,225 +45,102 @@ namespace {
 
 using namespace polis;
 
+// The command line; parse_args declares one row per flag.
 struct Args {
   std::string input;
-  bool help = false;
   bool list = false;
   std::string module;
   std::string network;
   sgraph::OrderingScheme scheme =
       sgraph::OrderingScheme::kSiftOutputsAfterSupport;
-  std::string target = "hc11";
-  std::string policy = "rr";
+  vm::TargetProfile (*target)() = &vm::hc11_like;
+  rtos::RtosConfig::Policy policy = rtos::RtosConfig::Policy::kRoundRobin;
   bool preemptive = false;
   bool polling = false;
   bool care = false;
   bool verify = false;
-  long long verify_threads = 1;  // 0 = one worker per hardware thread
+  int verify_threads = 1;
   bool opt_copyin = false;
   bool report = false;
   bool dot = false;
-  long long simulate = 0;   // horizon in cycles; 0 = no simulation
+  long long simulate = 0;
   std::string vcd;
   std::string out_dir;
-  std::string trace_file;    // Chrome trace-event JSON (--trace)
-  bool metrics = false;      // write a final metrics snapshot
-  std::string metrics_file;  // --metrics destination ("" = stderr)
-  std::string metrics_out;       // streaming JSONL epochs (--metrics-out)
-  long long metrics_interval_ms = 0;  // wall-clock sampler cadence; 0 = off
-  std::string metrics_prom;  // Prometheus text exposition (--metrics-prom)
-  // Resource governor (see util/governor.hpp): 0 = unlimited.
+  std::string trace_file;
+  bool metrics = false;
+  std::string metrics_file;  // "" = stderr
+  std::string metrics_out;
+  long long metrics_interval_ms = 0;
+  std::string metrics_prom;
   long long deadline_ms = 0;
   unsigned long long max_nodes = 0;
   long long max_arena_mb = 0;
-  std::string on_budget = "fail";  // fail | degrade
+  OnBudget on_budget = OnBudget::kFail;
 };
 
-void usage(std::ostream& os) {
-  os <<
-      "usage: polisc <input.rsl> [options]\n"
-      "       polisc --help | -h\n"
-      "  --list                 list modules and networks in the input\n"
-      "  --module NAME          synthesize one module\n"
-      "  --network NAME         synthesize a network (tasks + RTOS)\n"
-      "  --scheme S             naive | sift (default) | sift-in | "
-      "out-first | free\n"
-      "  --care                 exploit the reachable care set (false paths)\n"
-      "  --verify               symbolic reachability over the network:\n"
-      "                         check the modules' assert clauses and the\n"
-      "                         built-in lost-event property; with --care,\n"
-      "                         feed the reached set into synthesis as a\n"
-      "                         global don't-care set\n"
-      "  --verify-threads N     image-computation workers for --verify:\n"
-      "                         1 (default) runs serial, N shards the\n"
-      "                         transition relation across N per-thread BDD\n"
-      "                         managers (identical results, see DESIGN.md),\n"
-      "                         0 uses one worker per hardware thread\n"
-      "  --opt-copyin           data-flow copy-in optimization (§V-B)\n"
-      "  --target T             hc11 (default) | risc32\n"
-      "  --policy P             rr (default) | prio\n"
-      "  --preemptive           preemptive scheduling\n"
-      "  --polling              polled hw->sw event delivery\n"
-      "  --report               print the cost/performance table\n"
-      "  --simulate N           run the network for N cycles under the\n"
-      "                         RTOS simulator with a periodic workload\n"
-      "  --vcd FILE             write the simulation waveform as VCD\n"
-      "  --dot                  also emit the s-graph in Graphviz form\n"
-      "  --out DIR              write artifacts into DIR instead of stdout\n"
-      "  --trace FILE           record spans across the whole run and write\n"
-      "                         them as Chrome trace-event JSON (loadable in\n"
-      "                         Perfetto / chrome://tracing); simulated-cycle\n"
-      "                         lanes share the VCD timebase\n"
-      "  --metrics [FILE]       write a JSON snapshot of all counters,\n"
-      "                         gauges, histograms, quantiles and per-phase\n"
-      "                         wall times at exit (to stderr without FILE)\n"
-      "  --metrics-out FILE     stream metrics epochs to FILE as JSONL, one\n"
-      "                         epoch per line, flushed per line (simulated-\n"
-      "                         cycle epochs from the RTOS loop, per-layer\n"
-      "                         epochs from --verify, wall epochs from\n"
-      "                         --metrics-interval-ms)\n"
-      "  --metrics-interval-ms N  sample a wall-clock metrics epoch every\n"
-      "                         N ms on a background thread\n"
-      "  --metrics-prom FILE    write the final snapshot in Prometheus text\n"
-      "                         exposition format (the polisd /metrics body)\n"
-      "  --deadline-ms N        wall-clock budget for the whole run\n"
-      "  --max-nodes N          live BDD-node budget across the run\n"
-      "  --max-arena-mb N       BDD arena cap in MiB\n"
-      "  --on-budget M          what to do when a budget trips:\n"
-      "                         fail (default) unwinds with exit code 4;\n"
-      "                         degrade walks the degradation ladder and\n"
-      "                         still emits correct (less optimized) code\n"
-      "  (--trace=FILE / --metrics=FILE forms are also accepted)\n"
+Args parse_args(int argc, char** argv) {
+  using sgraph::OrderingScheme;
+  using Policy = rtos::RtosConfig::Policy;
+  constexpr long long kMax = std::numeric_limits<long long>::max();
+  constexpr long long kMaxArenaMb = (1LL << 44) - 1;  // bytes fit a uint64_t
+  Args a;
+  cli::parse("polisc", {
+      cli::text("", &a.input, "input.rsl", "the RSL source"),
+      cli::flag("--list", &a.list, "list the modules and networks"),
+      cli::text("--module", &a.module, "NAME", "synthesize one module"),
+      cli::text("--network", &a.network, "NAME",
+                "synthesize a network (tasks + RTOS)"),
+      cli::choice("--scheme", &a.scheme,
+                  {{"naive", OrderingScheme::kNaive},
+                   {"sift", OrderingScheme::kSiftOutputsAfterSupport},
+                   {"sift-in", OrderingScheme::kSiftOutputsAfterInputs},
+                   {"out-first", OrderingScheme::kOutputsBeforeInputs},
+                   {"free", OrderingScheme::kFreeOrder}},
+                  "BDD variable-ordering scheme"),
+      cli::flag("--care", &a.care, "exploit the reachable care set"),
+      cli::flag("--verify", &a.verify,
+                "check asserts and lost events symbolically"),
+      cli::count("--verify-threads", &a.verify_threads, 0,
+                 std::numeric_limits<int>::max(), "N",
+                 "verifier image workers; 0 = one per core"),
+      cli::flag("--opt-copyin", &a.opt_copyin, "copy-in optimization (§V-B)"),
+      cli::choice("--target", &a.target,
+                  {{"hc11", &vm::hc11_like}, {"risc32", &vm::risc32_like}},
+                  "target processor profile"),
+      cli::choice("--policy", &a.policy,
+                  {{"rr", Policy::kRoundRobin},
+                   {"prio", Policy::kStaticPriority}},
+                  "RTOS scheduling policy"),
+      cli::flag("--preemptive", &a.preemptive, "preemptive scheduling"),
+      cli::flag("--polling", &a.polling, "polled hw->sw event delivery"),
+      cli::flag("--report", &a.report, "print the cost/performance table"),
+      cli::count("--simulate", &a.simulate, 0, kMax, "N",
+                 "simulate N cycles under the RTOS"),
+      cli::text("--vcd", &a.vcd, "FILE", "write the simulation as VCD"),
+      cli::flag("--dot", &a.dot, "also emit the s-graph as Graphviz"),
+      cli::text("--out", &a.out_dir, "DIR", "write artifacts into DIR"),
+      cli::text("--trace", &a.trace_file, "FILE", "write a Chrome trace"),
+      cli::optional("--metrics", &a.metrics, &a.metrics_file, "FILE",
+                    "write a JSON metrics snapshot (else to stderr)"),
+      cli::text("--metrics-out", &a.metrics_out, "FILE",
+                "stream metrics epochs as JSONL"),
+      cli::count("--metrics-interval-ms", &a.metrics_interval_ms, 0, kMax, "N",
+                 "wall-clock epoch every N ms; 0 = off"),
+      cli::text("--metrics-prom", &a.metrics_prom, "FILE",
+                "write the snapshot as Prometheus text"),
+      cli::count("--deadline-ms", &a.deadline_ms, 0, kMax, "N",
+                 "wall-clock budget; 0 = none"),
+      cli::count("--max-nodes", &a.max_nodes, 0, kMax, "N",
+                 "live BDD-node budget; 0 = none"),
+      cli::count("--max-arena-mb", &a.max_arena_mb, 0, kMaxArenaMb, "N",
+                 "BDD arena cap in MiB; 0 = none"),
+      cli::choice("--on-budget", &a.on_budget,
+                  {{"fail", OnBudget::kFail}, {"degrade", OnBudget::kDegrade}},
+                  "on a budget trip: exit 4, or degrade"),
+  }, argc, argv,
       "exit codes: 0 ok, 1 error, 2 usage, 3 parse error, 4 budget\n"
-      "            exceeded, 5 cancelled, 6 internal invariant failure\n";
-}
-
-sgraph::OrderingScheme scheme_of(const std::string& name) {
-  if (name == "naive") return sgraph::OrderingScheme::kNaive;
-  if (name == "sift") return sgraph::OrderingScheme::kSiftOutputsAfterSupport;
-  if (name == "sift-in") return sgraph::OrderingScheme::kSiftOutputsAfterInputs;
-  if (name == "out-first") return sgraph::OrderingScheme::kOutputsBeforeInputs;
-  if (name == "free") return sgraph::OrderingScheme::kFreeOrder;
-  throw std::runtime_error("--scheme must be naive, sift, sift-in, out-first "
-                           "or free (got '" + name + "')");
-}
-
-// `value` when it is one of `allowed`, else a usage error naming `flag`.
-std::string one_of(const std::string& flag, const std::string& value,
-                   std::initializer_list<const char*> allowed) {
-  std::string list;
-  for (const char* a : allowed) {
-    if (value == a) return value;
-    list += std::string(list.empty() ? "" : ", ") + a;
-  }
-  throw std::runtime_error(flag + " must be one of " + list + " (got '" +
-                           value + "')");
-}
-
-// A non-negative integer option value: digits only (no sign, no trailing
-// junk), at most 18 of them so that it fits a long long.
-long long count_of(const std::string& flag, const std::string& value) {
-  const bool digits =
-      !value.empty() && value.size() <= 18 &&
-      std::all_of(value.begin(), value.end(),
-                  [](unsigned char c) { return std::isdigit(c) != 0; });
-  if (!digits)
-    throw std::runtime_error(flag + " needs a non-negative integer (got '" +
-                             value + "')");
-  return std::stoll(value);
-}
-
-bool parse_args(int argc, char** argv, Args& args) {
-  if (argc < 2) return false;
-  const std::string first = argv[1];
-  if (first == "--help" || first == "-h") {
-    args.help = true;
-    return true;
-  }
-  args.input = first;
-  // Accept both "--opt value" and "--opt=value". Each token remembers the
-  // argv spelling it came from so diagnostics can echo what the user typed
-  // ("--trce=out.json", not a half of it), and whether it is the value half
-  // of an "=" form (a flag that takes no value must reject that half, not
-  // silently re-parse it as the next option).
-  struct Token {
-    std::string text;  // flag or value after "=" splitting
-    std::string raw;   // the original argv element
-    bool eq_value;     // true for the value half of an "--opt=value"
-  };
-  std::vector<Token> tokens;
-  for (int i = 2; i < argc; ++i) {
-    const std::string raw = argv[i];
-    const size_t eq = raw.find('=');
-    if (raw.rfind("--", 0) == 0 && eq != std::string::npos) {
-      tokens.push_back(Token{raw.substr(0, eq), raw, false});
-      tokens.push_back(Token{raw.substr(eq + 1), raw, true});
-    } else {
-      tokens.push_back(Token{raw, raw, false});
-    }
-  }
-  for (size_t i = 0; i < tokens.size(); ++i) {
-    const std::string a = tokens[i].text;
-    auto value = [&]() -> std::string {
-      if (i + 1 >= tokens.size())
-        throw std::runtime_error("missing value for " + a);
-      return tokens[++i].text;
-    };
-    // A boolean flag given in "--flag=value" form is an error, not a flag
-    // set plus a stray token.
-    auto no_value = [&]() -> bool {
-      if (i + 1 < tokens.size() && tokens[i + 1].eq_value &&
-          tokens[i + 1].raw == tokens[i].raw) {
-        std::cerr << "polisc: option '" << a << "' does not take a value (got '"
-                  << tokens[i].raw << "')\n";
-        return false;
-      }
-      return true;
-    };
-    if (a == "--help" || a == "-h") { args.help = true; return true; }
-    else if (a == "--list") { if (!no_value()) return false; args.list = true; }
-    else if (a == "--module") args.module = value();
-    else if (a == "--network") args.network = value();
-    else if (a == "--scheme") args.scheme = scheme_of(value());
-    else if (a == "--target") args.target = one_of(a, value(), {"hc11", "risc32"});
-    else if (a == "--policy") args.policy = one_of(a, value(), {"rr", "prio"});
-    else if (a == "--preemptive") { if (!no_value()) return false; args.preemptive = true; }
-    else if (a == "--polling") { if (!no_value()) return false; args.polling = true; }
-    else if (a == "--care") { if (!no_value()) return false; args.care = true; }
-    else if (a == "--verify") { if (!no_value()) return false; args.verify = true; }
-    else if (a == "--verify-threads") args.verify_threads = count_of(a, value());
-    else if (a == "--opt-copyin") { if (!no_value()) return false; args.opt_copyin = true; }
-    else if (a == "--report") { if (!no_value()) return false; args.report = true; }
-    else if (a == "--simulate") args.simulate = count_of(a, value());
-    else if (a == "--vcd") args.vcd = value();
-    else if (a == "--dot") { if (!no_value()) return false; args.dot = true; }
-    else if (a == "--out") args.out_dir = value();
-    else if (a == "--trace") args.trace_file = value();
-    else if (a == "--metrics") {
-      // Optional value: "--metrics=FILE" and "--metrics FILE" bind the file;
-      // a following option (or nothing) leaves the snapshot on stderr.
-      args.metrics = true;
-      if (i + 1 < tokens.size() &&
-          (tokens[i + 1].eq_value ? tokens[i + 1].raw == tokens[i].raw
-                                  : tokens[i + 1].text.rfind("--", 0) != 0))
-        args.metrics_file = value();
-    }
-    else if (a == "--metrics-out") args.metrics_out = value();
-    else if (a == "--metrics-interval-ms")
-      args.metrics_interval_ms = count_of(a, value());
-    else if (a == "--metrics-prom") args.metrics_prom = value();
-    else if (a == "--deadline-ms") args.deadline_ms = count_of(a, value());
-    else if (a == "--max-nodes")
-      args.max_nodes = static_cast<unsigned long long>(count_of(a, value()));
-    else if (a == "--max-arena-mb") args.max_arena_mb = count_of(a, value());
-    else if (a == "--on-budget")
-      args.on_budget = one_of(a, value(), {"fail", "degrade"});
-    else {
-      std::cerr << "polisc: unknown option '" << tokens[i].raw << "'\n";
-      return false;
-    }
-  }
-  return true;
+      "            exceeded, 5 cancelled, 6 internal invariant failure\n");
+  return a;
 }
 
 void write_artifact(const Args& args, const std::string& name,
@@ -283,6 +157,14 @@ void write_artifact(const Args& args, const std::string& name,
   std::cout << "wrote " << path << "\n";
 }
 
+void write_dot(const Args& args, const std::string& name,
+               const sgraph::Sgraph& graph) {
+  if (!args.dot) return;
+  std::ostringstream dot;
+  sgraph::to_dot(graph, dot);
+  write_artifact(args, c_identifier(name) + ".dot", dot.str());
+}
+
 /// Prints the degradation-ladder rungs a synthesis run took; deterministic
 /// for node/byte budgets, so degraded runs stay byte-for-byte comparable.
 void report_degradations(const std::string& name, const SynthesisResult& r) {
@@ -292,8 +174,8 @@ void report_degradations(const std::string& name, const SynthesisResult& r) {
     std::cout << "degraded " << name << ": estimates are placeholders\n";
 }
 
-/// The synthesis options the command line selects, shared by --module and
-/// --network (the budget policy lives on the ambient governor).
+/// The synthesis options the command line selects, shared by module and
+/// network runs (the budget policy lives on the ambient governor).
 SynthesisOptions synthesis_options(const Args& args,
                                    const estim::CostModel& model,
                                    const vm::TargetProfile& target) {
@@ -405,8 +287,7 @@ int run(const Args& args) {
     return 0;
   }
 
-  const vm::TargetProfile target =
-      args.target == "risc32" ? vm::risc32_like() : vm::hc11_like();
+  const vm::TargetProfile target = args.target();
   // Calibration compiles sample programs through the governed BDD kernel, so
   // an expired deadline can trip inside it; the cost model is mandatory for
   // estimation, so degrade mode recalibrates ungoverned (it is small and
@@ -431,11 +312,7 @@ int run(const Args& args) {
         synthesize(it->second, synthesis_options(args, model, target));
     report_degradations(args.module, r);
     write_artifact(args, "cfsm_" + c_identifier(args.module) + ".c", r.c_code);
-    if (args.dot) {
-      std::ostringstream dot;
-      sgraph::to_dot(*r.graph, dot);
-      write_artifact(args, c_identifier(args.module) + ".dot", dot.str());
-    }
+    write_dot(args, args.module, *r.graph);
     if (args.report) {
       add_report_row(report, args.module, r, target);
       report.print(std::cout);
@@ -453,20 +330,19 @@ int run(const Args& args) {
 
     std::map<std::string, cfsm::CareFilter> care_filters;
     if (args.verify)
-      care_filters = run_verify(net, static_cast<int>(args.verify_threads));
+      care_filters = run_verify(net, args.verify_threads);
 
     rtos::RtosConfig config;
-    if (args.policy == "prio")
-      config.policy = rtos::RtosConfig::Policy::kStaticPriority;
+    config.policy = args.policy;
     config.preemptive = args.preemptive;
     if (args.polling)
       config.delivery = rtos::RtosConfig::HwDelivery::kPolling;
-    // ~50 simulated-cycle epochs over the horizon (same cadence as the
-    // periodic workload below) — deterministic, so two identical runs emit
-    // byte-identical "cycles" series.
-    if (args.simulate > 0)
-      config.metrics_epoch_cycles =
-          std::max<long long>(args.simulate / 50, 1);
+    // The simulated workload's period: every external input fires ~50
+    // times over the horizon. The "cycles" metrics series samples at the
+    // same cadence — deterministic, so two identical runs emit
+    // byte-identical series.
+    const long long period = std::max<long long>(args.simulate / 50, 1);
+    if (args.simulate > 0) config.metrics_epoch_cycles = period;
 
     write_artifact(args, "polis_rt.h", rtos::generate_rt_header(net));
     write_artifact(args, "polis_rtos.c", rtos::generate_rtos_c(net, config));
@@ -495,11 +371,7 @@ int run(const Args& args) {
       c_options.optimize_copy_in = args.opt_copyin;
       write_artifact(args, "cfsm_" + c_identifier(inst.name) + ".c",
                      codegen::generate_instance_c(*r.graph, inst, c_options));
-      if (args.dot) {
-        std::ostringstream dot;
-        sgraph::to_dot(*r.graph, dot);
-        write_artifact(args, c_identifier(inst.name) + ".dot", dot.str());
-      }
+      write_dot(args, inst.name, *r.graph);
       if (args.report) add_report_row(report, inst.name, r, target);
     }
     if (args.report) report.print(std::cout);
@@ -508,7 +380,6 @@ int run(const Args& args) {
       // §I-H step 4: static schedulability of the periodic workload the
       // simulator runs below — estimator WCETs against the source period.
       {
-        const long long period = std::max<long long>(args.simulate / 50, 1);
         std::vector<sched::Task> taskset;
         for (const cfsm::Instance& inst : net.instances())
           taskset.push_back(
@@ -530,8 +401,8 @@ int run(const Args& args) {
         sim.set_task(inst.name,
                      rtos::vm_task(r.compiled, target, inst.machine));
       }
-      // Periodic workload: every external input fires ~50 times over the
-      // horizon, phases staggered, values random in the net's domain.
+      // Periodic workload: phases staggered, values random in the net's
+      // domain.
       Rng rng(1);
       std::vector<std::vector<rtos::ExternalEvent>> traces;
       long long phase = 0;
@@ -539,7 +410,7 @@ int run(const Args& args) {
       for (const std::string& in : net.external_inputs()) {
         rtos::PeriodicSource source;
         source.net = in;
-        source.period = std::max<long long>(args.simulate / 50, 1);
+        source.period = period;
         source.phase = phase;
         source.value_domain = nets.at(in).domain;
         traces.push_back(rtos::periodic_trace(source, args.simulate, &rng));
@@ -579,74 +450,46 @@ int run(const Args& args) {
     return 0;
   }
 
-  std::cerr << "polisc: pass --list, --module or --network\n";
+  std::cerr << "polisc: nothing to do: list the input, or pick a module or a "
+               "network (see --help)\n";
   return 1;
 }
 
 }  // namespace
 
+// Writes one requested export atomically; a failure is reported, not fatal.
+void write_export(const std::string& path, const char* what,
+                  void (*write)(std::ostream&)) {
+  if (path.empty()) return;
+  try {
+    std::ostringstream out;
+    write(out);
+    polis::write_file_atomic(path, out.str());
+    std::cout << "wrote " << path << " (" << what << ")\n";
+  } catch (const std::exception& e) {
+    std::cerr << "polisc: cannot write " << path << ": " << e.what() << "\n";
+  }
+}
+
 // Writes the trace / metrics files requested on the command line. Runs even
 // when the flow failed part-way: a trace of a failing run is exactly what
 // one wants to look at.
 void write_obs_outputs(const Args& args) {
-  if (!args.trace_file.empty()) {
-    try {
-      std::ostringstream out;
-      obs::TraceRecorder::global().write_chrome_json(out);
-      polis::write_file_atomic(args.trace_file, out.str());
-      std::cout << "wrote " << args.trace_file << " (Chrome trace)\n";
-    } catch (const std::exception& e) {
-      std::cerr << "polisc: cannot write " << args.trace_file << ": "
-                << e.what() << "\n";
-    }
-  }
-  if (args.metrics) {
-    if (args.metrics_file.empty()) {
-      // No file: the final snapshot goes to stderr, as it always has.
-      obs::write_metrics_json(std::cerr);
-    } else {
-      try {
-        std::ostringstream out;
-        obs::write_metrics_json(out);
-        polis::write_file_atomic(args.metrics_file, out.str());
-        std::cout << "wrote " << args.metrics_file << " (metrics snapshot)\n";
-      } catch (const std::exception& e) {
-        std::cerr << "polisc: cannot write " << args.metrics_file << ": "
-                  << e.what() << "\n";
-      }
-    }
-  }
-  if (!args.metrics_prom.empty()) {
-    try {
-      std::ostringstream out;
-      obs::write_prometheus(out);
-      polis::write_file_atomic(args.metrics_prom, out.str());
-      std::cout << "wrote " << args.metrics_prom << " (Prometheus text)\n";
-    } catch (const std::exception& e) {
-      std::cerr << "polisc: cannot write " << args.metrics_prom << ": "
-                << e.what() << "\n";
-    }
-  }
+  write_export(args.trace_file, "Chrome trace", [](std::ostream& os) {
+    obs::TraceRecorder::global().write_chrome_json(os);
+  });
+  // No file: the final snapshot goes to stderr, as it always has.
+  if (args.metrics && args.metrics_file.empty())
+    obs::write_metrics_json(std::cerr);
+  write_export(args.metrics_file, "metrics snapshot",
+               [](std::ostream& os) { obs::write_metrics_json(os); });
+  write_export(args.metrics_prom, "Prometheus text",
+               [](std::ostream& os) { obs::write_prometheus(os); });
 }
 
 int main(int argc, char** argv) {
   using namespace polis;
-  Args args;
-  bool args_ok = false;
-  try {
-    args_ok = parse_args(argc, argv, args);
-  } catch (const std::exception& e) {
-    std::cerr << "polisc: " << e.what() << "\n";
-    args_ok = false;
-  }
-  if (!args_ok) {
-    usage(std::cerr);
-    return kExitUsage;
-  }
-  if (args.help) {
-    usage(std::cout);
-    return 0;
-  }
+  const Args args = parse_args(argc, argv);
   if (!args.trace_file.empty()) {
     obs::TraceRecorder::global().set_enabled(true);
     obs::TraceRecorder::global().name_this_thread("polisc main");
@@ -658,13 +501,12 @@ int main(int argc, char** argv) {
   if (!args.metrics_out.empty() || args.metrics_interval_ms > 0) {
 #ifdef POLIS_OBS_DISABLED
     std::cerr << "polisc: streaming metrics unavailable (built with "
-                 "POLIS_OBS=OFF); ignoring --metrics-out / "
-                 "--metrics-interval-ms\n";
+                 "POLIS_OBS=OFF); ignoring the metrics stream and sampler\n";
 #else
     obs::SeriesRecorder& series = obs::SeriesRecorder::global();
     if (!args.metrics_out.empty()) {
-      // The sink opens before run() creates --out, so an in---out path needs
-      // its directory brought into existence here.
+      // The sink opens before run() creates the output directory, so a sink
+      // path inside it needs its directory brought into existence here.
       const auto parent = std::filesystem::path(args.metrics_out).parent_path();
       if (!parent.empty()) {
         std::error_code ec;
@@ -694,50 +536,40 @@ int main(int argc, char** argv) {
   limits.max_nodes = args.max_nodes;
   limits.max_arena_bytes =
       static_cast<uint64_t>(args.max_arena_mb) * (uint64_t{1} << 20);
-  limits.on_budget =
-      args.on_budget == "degrade" ? OnBudget::kDegrade : OnBudget::kFail;
+  limits.on_budget = args.on_budget;
   ResourceGovernor governor(limits);
   std::optional<ResourceGovernor::Scope> scope;
   if (limits.any() || limits.on_budget == OnBudget::kDegrade)
     scope.emplace(&governor);
 
-  const auto finish = [&] {
-    if (scope.has_value()) governor.flush_stats_to_obs();
-#ifndef POLIS_OBS_DISABLED
-    // Stop the sampler and detach the sink before the stream closes; each
-    // epoch line was already flushed, so even this running on an error path
-    // leaves a complete JSONL file behind.
-    obs::SeriesRecorder::global().stop_wall_sampler();
-    obs::SeriesRecorder::global().set_sink(nullptr);
-    obs::SeriesRecorder::global().set_enabled(false);
-#endif
-    write_obs_outputs(args);
-  };
+  int rc = kExitError;
   try {
-    const int rc = run(args);
-    finish();
-    return rc;
+    rc = run(args);
   } catch (const frontend::ParseError& e) {
     std::cerr << "polisc: " << args.input << ": " << e.what() << "\n";
-    finish();
-    return kExitParse;
+    rc = kExitParse;
   } catch (const Cancelled& e) {
     std::cerr << "polisc: " << e.what() << "\n";
-    finish();
-    return kExitCancelled;
+    rc = kExitCancelled;
   } catch (const BudgetExceeded& e) {
     std::cerr << "polisc: budget exceeded ("
               << BudgetExceeded::kind_name(e.kind()) << "): " << e.what()
               << "\n";
-    finish();
-    return kExitBudget;
+    rc = kExitBudget;
   } catch (const CheckError& e) {
     std::cerr << "polisc: internal invariant failure: " << e.what() << "\n";
-    finish();
-    return kExitInternal;
+    rc = kExitInternal;
   } catch (const std::exception& e) {
     std::cerr << "polisc: " << e.what() << "\n";
-    finish();
-    return kExitError;
   }
+  if (scope.has_value()) governor.flush_stats_to_obs();
+#ifndef POLIS_OBS_DISABLED
+  // Stop the sampler and detach the sink before the stream closes; each
+  // epoch line was already flushed, so the JSONL file is complete.
+  obs::SeriesRecorder::global().stop_wall_sampler();
+  obs::SeriesRecorder::global().set_sink(nullptr);
+  obs::SeriesRecorder::global().set_enabled(false);
+#endif
+  write_obs_outputs(args);
+  return rc;
 }
